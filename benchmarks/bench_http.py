@@ -51,7 +51,7 @@ from repro.core.kernels import HAS_NUMPY
 from repro.core.selection import InfoGainSelector
 from repro.data.synthetic import SyntheticConfig, generate_collection
 from repro.oracle import SimulatedUser
-from repro.serve import percentile
+from repro.serve.metrics import quantile_sorted
 from repro.serve.client import (
     HttpConnection,
     HttpSessionClient,
@@ -320,9 +320,9 @@ def _run_load(server: ServerProcess, collection, cfg: dict) -> dict:
         "questions": questions,
         "questions_per_s": questions / elapsed,
         "question_latency_ms": {
-            "p50": percentile(latencies, 0.50) * 1000,
-            "p95": percentile(latencies, 0.95) * 1000,
-            "p99": percentile(latencies, 0.99) * 1000,
+            "p50": quantile_sorted(latencies, 0.50) * 1000,
+            "p95": quantile_sorted(latencies, 0.95) * 1000,
+            "p99": quantile_sorted(latencies, 0.99) * 1000,
         },
         "server_metrics": server_metrics,
     }

@@ -57,7 +57,7 @@ from repro.core.discovery import DiscoverySession
 from repro.core.selection import InfoGainSelector
 from repro.data.synthetic import SyntheticConfig, generate_collection
 from repro.oracle import SimulatedUser
-from repro.serve import percentile
+from repro.serve.metrics import quantile_sorted
 from repro.serve.client import HttpConnection, HttpSessionClient
 
 _OUT_PATH = Path(__file__).parent / "out" / "BENCH_multiworker.json"
@@ -288,9 +288,9 @@ def _run_load(server: ServerProcess, collection, cfg: dict) -> dict:
         "questions": questions,
         "questions_per_s": questions / elapsed,
         "question_latency_ms": {
-            "p50": percentile(latencies, 0.50) * 1000,
-            "p95": percentile(latencies, 0.95) * 1000,
-            "p99": percentile(latencies, 0.99) * 1000,
+            "p50": quantile_sorted(latencies, 0.50) * 1000,
+            "p95": quantile_sorted(latencies, 0.95) * 1000,
+            "p99": quantile_sorted(latencies, 0.99) * 1000,
         },
         "workers_up": workers_up,
     }

@@ -125,8 +125,8 @@ def run_native_comparison(out_path: Path = _OUT_PATH) -> dict:
         "native": native_coll.kernel,
     }
 
-    # Warm-up before any timing (first-use tuning calibration, page-in of
-    # both matrices) — and prove parity on exactly the scans timed below.
+    # Warm-up before any timing (lazy CSR mirror builds, page-in of both
+    # matrices) — and prove parity on exactly the scans timed below.
     _assert_parity(
         [kernels["numpy"].scan_informative(full, n_full, None)],
         [kernels["native"].scan_informative(full, n_full, None)],

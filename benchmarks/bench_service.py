@@ -47,7 +47,8 @@ from repro.core.selection import InfoGainSelector
 from repro.core.universe import Universe
 from repro.data.synthetic import SyntheticConfig, generate_sets
 from repro.oracle import SimulatedUser
-from repro.serve import AsyncDiscoveryService, percentile
+from repro.serve import AsyncDiscoveryService
+from repro.serve.metrics import quantile_sorted
 
 _OUT_PATH = Path(__file__).parent / "out" / "BENCH_service.json"
 
@@ -216,8 +217,8 @@ def run_service_comparison(out_path: Path = _OUT_PATH) -> dict:
             for name in ("sequential", "async")
         },
         "ask_latency_ms": {
-            "p50": percentile(latencies, 0.50) * 1000,
-            "p95": percentile(latencies, 0.95) * 1000,
+            "p50": quantile_sorted(latencies, 0.50) * 1000,
+            "p95": quantile_sorted(latencies, 0.95) * 1000,
         },
         "speedup": best["sequential"] / max(best["async"], 1e-12),
     }

@@ -2,18 +2,11 @@
 
 Simulates the stacked informative scan of one multi-session engine tick —
 N concurrent session masks over one large collection — and times it through
-the unsharded numpy kernel and through every :class:`ShardedKernel`
-execution strategy the box supports with K set-range shards:
+the unsharded numpy kernel and through :class:`ShardedKernel` with K
+set-range shards on its thread pool:
 
-* ``sharded`` — numpy sub-kernels on the Python thread pool (the baseline
-  sharding strategy, always available);
-* ``native-pool`` — native sub-kernels on the same Python thread pool
-  (requires the compiled extension);
-* ``native-threaded`` — the ``executor="native"`` strategy: one full-width
-  native kernel fanning each scan across the extension's in-C pthread
-  pool inside a single GIL release (requires the pthread scan pool);
-* ``shm`` — the ``executor="shm"`` strategy: shard-pinned worker processes
-  attached to shared-memory segments (requires ``fork``).
+* ``sharded`` — numpy sub-kernels (always available);
+* ``native-pool`` — native sub-kernels (requires the compiled extension).
 
 Every leg's results are asserted bit-identical to the unsharded kernel
 before anything is timed (parity is the contract, throughput is the
@@ -21,14 +14,13 @@ product).
 
 Writes ``benchmarks/out/BENCH_shards.json`` — CI uploads it with the other
 ``BENCH_*.json`` artifacts and the perf trajectory picks up its
-``speedup`` figures — and the pytest wrappers gate the minimum aggregate
-thread-pool speedup plus the native-threaded advantage over the Python
-pool, each skipping below the core count it needs.  Timing hygiene: every
-kernel is warmed up (lazy CSR mirrors, pool/worker spawn, tuning
-calibration) before its first timed repetition, and CI pins
-``OMP_NUM_THREADS=1`` so NumPy's own thread pool cannot fight the shard
-workers.  Run standalone via ``python benchmarks/bench_shards.py`` or as
-part of ``pytest benchmarks/``.  Scale knobs (environment):
+``speedup`` figures — and the pytest wrapper gates the minimum aggregate
+thread-pool speedup, skipping on single-core boxes.  Timing hygiene: every
+kernel is warmed up (lazy CSR mirrors, pool spawn) before its first timed
+repetition, and CI pins ``OMP_NUM_THREADS=1`` so NumPy's own thread pool
+cannot fight the shard workers.  Run standalone via
+``python benchmarks/bench_shards.py`` or as part of ``pytest benchmarks/``.
+Scale knobs (environment):
 
 * ``REPRO_SHARDS_BENCH_SESSIONS`` — concurrent session masks (default 256)
 * ``REPRO_SHARDS_BENCH_SETS`` — sets in the collection (default 100000)
@@ -36,8 +28,6 @@ part of ``pytest benchmarks/``.  Scale knobs (environment):
 * ``REPRO_SHARDS_BENCH_SHARDS`` — shard count (default 4)
 * ``REPRO_SHARDS_BENCH_REPEAT`` — timing repetitions, best-of (default 3)
 * ``REPRO_SHARDS_BENCH_MIN_SPEEDUP`` — asserted sharded speedup (default 2)
-* ``REPRO_SHARDS_BENCH_MIN_NATIVE_SPEEDUP`` — asserted native-threaded
-  speedup over the native thread-pool leg (default 2)
 """
 
 import json
@@ -51,9 +41,6 @@ import pytest
 from repro.core.bitmask import popcount
 from repro.core.collection import SetCollection
 from repro.core.kernels import HAS_NATIVE, HAS_NUMPY, get_tuning, make_kernel
-from repro.core.kernels import shm as _shm
-from repro.core.kernels._native import ext as _ext
-from repro.core.kernels.sharded import _fork_available
 from repro.core.universe import Universe
 from repro.data.synthetic import SyntheticConfig, generate_sets
 
@@ -126,29 +113,25 @@ def _assert_parity(a, b) -> None:
         )
 
 
-def _leg_plan() -> list[tuple[str, str, str]]:
-    """The ``(leg_name, base, executor)`` strategies this box supports."""
-    legs = [("sharded", "numpy", "thread")]
+def _leg_plan() -> list[tuple[str, str]]:
+    """The ``(leg_name, base)`` sharded legs this box supports."""
+    legs = [("sharded", "numpy")]
     if HAS_NATIVE:
-        legs.append(("native-pool", "native", "thread"))
-        if _ext.threaded_scan_available():
-            legs.append(("native-threaded", "native", "native"))
-    if _shm.HAS_SHM and _fork_available():
-        legs.append(("shm", "native" if HAS_NATIVE else "numpy", "shm"))
+        legs.append(("native-pool", "native"))
     return legs
 
 
 def run_shards_comparison(out_path: Path = _OUT_PATH) -> dict:
-    """Time every execution strategy; write BENCH_shards.json."""
+    """Time the unsharded kernel and every sharded leg; write BENCH_shards.json."""
     cfg = _bench_config()
     collection = _build_collection(cfg)
     masks = _session_masks(collection, cfg)
     ns = [popcount(m) for m in masks]
 
     unsharded = collection.kernel
-    # Warm-up before any timing: builds the lazy CSR mirror and triggers
-    # first-use tuning calibration — neither belongs in the steady state —
-    # and yields the parity reference every sharded leg is held to.
+    # Warm-up before any timing: builds the lazy CSR mirror — not part of
+    # the steady state — and yields the parity reference every sharded
+    # leg is held to.
     reference = _scan(unsharded, masks, ns)
 
     best = {"unsharded": float("inf")}
@@ -157,23 +140,20 @@ def run_shards_comparison(out_path: Path = _OUT_PATH) -> dict:
         _scan(unsharded, masks, ns)
         best["unsharded"] = min(best["unsharded"], time.perf_counter() - start)
 
-    # Each sharded leg is built, warmed (pool/worker spawn), parity-checked
+    # Each sharded leg is built, warmed (pool spawn), parity-checked
     # against the unsharded reference, timed, and closed before the next
-    # leg starts, so worker pools never overlap.
+    # leg starts, so thread pools never overlap.
     legs = _leg_plan()
-    executors = {}
-    for leg, base, executor in legs:
+    for leg, base in legs:
         kernel = make_kernel(
             base,
             collection._sets,
             collection._entity_masks,
             len(collection._sets),
             shards=cfg["shards"],
-            shard_executor=executor,
         )
         try:
             _assert_parity(reference, _scan(kernel, masks, ns))
-            executors[leg] = kernel.executor_kind
             best[leg] = float("inf")
             for _ in range(cfg["repeat"]):
                 start = time.perf_counter()
@@ -187,18 +167,11 @@ def run_shards_comparison(out_path: Path = _OUT_PATH) -> dict:
         for leg in best
         if leg != "unsharded"
     }
-    if "native-threaded" in best and "native-pool" in best:
-        # The in-C pthread fan-out vs the Python thread pool over the same
-        # native sweeps: isolates the executor, not the backend.
-        speedup["native_threaded_vs_pool"] = best["native-pool"] / max(
-            best["native-threaded"], 1e-12
-        )
 
     report = {
         "bench": "shards-stacked-scan",
         "config": cfg,
-        "legs": {leg: {"base": base, "executor": executors[leg]}
-                 for leg, base, _executor in legs},
+        "legs": {leg: {"base": base} for leg, base in legs},
         "cpu_count": os.cpu_count(),
         "tuning_source": get_tuning().source,
         "results": {
@@ -228,37 +201,6 @@ def test_sharded_scan_speedup():
     assert report["speedup"]["sharded"] >= min_speedup, (
         f"sharded scan only {report['speedup']['sharded']:.2f}x faster "
         f"than the single kernel (required {min_speedup:.1f}x): "
-        f"{json.dumps(report, indent=2)}"
-    )
-
-
-@pytest.mark.skipif(
-    not HAS_NATIVE, reason="native extension did not build — gate skipped"
-)
-@pytest.mark.skipif(
-    HAS_NATIVE and not _ext.threaded_scan_available(),
-    reason="this build lacks the pthread scan pool — gate skipped",
-)
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="the in-C fan-out gate needs >=4 cores; parity is tier-1-tested",
-)
-def test_native_threaded_scan_speedup():
-    """The in-C pthread fan-out must beat the Python thread pool.
-
-    Both legs run the same native sweeps over the same shard count; the
-    in-C executor dodges the per-shard Python dispatch, the futures
-    machinery, and the merge re-entering Python between bands, so with
-    real cores behind it the ratio should be well past 2x.
-    """
-    report = run_shards_comparison()
-    min_speedup = float(
-        os.environ.get("REPRO_SHARDS_BENCH_MIN_NATIVE_SPEEDUP", "2")
-    )
-    got = report["speedup"]["native_threaded_vs_pool"]
-    assert got >= min_speedup, (
-        f"in-C threaded scan only {got:.2f}x faster than the Python "
-        f"thread pool over native shards (required {min_speedup:.1f}x): "
         f"{json.dumps(report, indent=2)}"
     )
 

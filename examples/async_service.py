@@ -32,7 +32,7 @@ import time
 from repro import AsyncDiscoveryService, DiscoverySession, InfoGainSelector
 from repro.data.synthetic import SyntheticConfig, generate_collection
 from repro.oracle import SimulatedUser
-from repro.serve import percentile
+from repro.serve.metrics import quantile_sorted
 
 
 async def simulated_user(
@@ -104,8 +104,8 @@ async def main() -> None:
     )
     asks = sorted(latencies)
     print(
-        f"ask() latency: p50 {percentile(asks, 0.5) * 1000:.2f} ms, "
-        f"p95 {percentile(asks, 0.95) * 1000:.2f} ms"
+        f"ask() latency: p50 {quantile_sorted(asks, 0.5) * 1000:.2f} ms, "
+        f"p95 {quantile_sorted(asks, 0.95) * 1000:.2f} ms"
     )
     print(
         f"scheduler: {stats.ticks} flushes, {stats.scanned_masks} masks "

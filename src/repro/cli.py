@@ -163,7 +163,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     import time
 
     from .data.synthetic import SyntheticConfig, generate_collection
-    from .serve import AsyncDiscoveryService, percentile
+    from .serve import AsyncDiscoveryService
+    from .serve.metrics import quantile_sorted
 
     collection = generate_collection(
         SyntheticConfig(
@@ -227,8 +228,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             )
             asks = sorted(latencies)
             print(
-                f"ask() latency: p50 {percentile(asks, 0.50) * 1000:.2f} ms, "
-                f"p95 {percentile(asks, 0.95) * 1000:.2f} ms "
+                f"ask() latency: p50 {quantile_sorted(asks, 0.50) * 1000:.2f} ms, "
+                f"p95 {quantile_sorted(asks, 0.95) * 1000:.2f} ms "
                 f"(budget {args.flush_after_ms:.1f} ms, "
                 f"watermark {args.max_batch})"
             )

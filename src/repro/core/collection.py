@@ -165,13 +165,10 @@ class SetCollection:
         to numpy with a one-time warning.
     shards:
         When > 1, partition the set axis into this many contiguous ranges
-        and run every batched statistic per shard on a worker pool
+        and run every batched statistic per shard on a thread pool
         (:mod:`repro.core.kernels.sharded`).  Results stay bit-identical
         to the unsharded kernels; only throughput changes.  ``None`` (the
         default) keeps the single-kernel path; see also :meth:`reshard`.
-    shard_executor:
-        Worker pool for the shards: ``"thread"`` (default), ``"process"``
-        or ``"serial"``; ``None`` defers to ``$REPRO_SHARD_EXECUTOR``.
     informative_cache_size:
         Bound on the per-mask informative-stats cache
         (:data:`DEFAULT_INFORMATIVE_CACHE_SIZE` masks by default, LRU
@@ -202,7 +199,6 @@ class SetCollection:
         dedupe: bool = False,
         backend: str | None = None,
         shards: int | None = None,
-        shard_executor: str | None = None,
         informative_cache_size: int | None = DEFAULT_INFORMATIVE_CACHE_SIZE,
     ) -> None:
         self.universe = universe if universe is not None else Universe()
@@ -256,7 +252,6 @@ class SetCollection:
             self._entity_masks,
             len(self._sets),
             shards=shards,
-            shard_executor=shard_executor,
         )
 
     # ------------------------------------------------------------------ #
@@ -330,7 +325,7 @@ class SetCollection:
         :meth:`reshard` to swap execution strategies)."""
         return self._kernel
 
-    def reshard(self, shards: int | None, executor: str | None = None) -> None:
+    def reshard(self, shards: int | None) -> None:
         """Swap the kernel for a variant with ``shards`` set-range shards.
 
         A pure execution-strategy change: the backend stays the same, every
@@ -353,7 +348,6 @@ class SetCollection:
             self._entity_masks,
             len(self._sets),
             shards=shards,
-            shard_executor=executor,
         )
         if hasattr(old, "close"):
             old.close()

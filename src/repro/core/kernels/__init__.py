@@ -21,14 +21,13 @@ with two interchangeable backends:
   that allocate nothing and release the GIL.  The sweeps are
   SIMD-dispatched at import (``scalar``/``avx2``/``avx512`` by CPUID;
   pin a tier with ``REPRO_SIMD``, see
-  :func:`apply_simd_override`) and can fan one scan across an internal
-  pthread pool (the sharded layer's ``"native"`` executor).  Optional:
-  built by ``setup.py`` when a compiler is present, degrading to numpy
-  with a one-time :class:`NativeFallbackWarning` otherwise.
+  :func:`apply_simd_override`).  Optional: built by ``setup.py`` when a
+  compiler is present, degrading to numpy with a one-time
+  :class:`NativeFallbackWarning` otherwise.
 
-Either backend can additionally be **sharded**
+Any backend can additionally be **sharded**
 (:mod:`~repro.core.kernels.sharded`): the set axis is partitioned into
-contiguous ranges, every batched statistic runs per shard on a worker
+contiguous ranges, every batched statistic runs per shard on a thread
 pool, and the per-shard results merge exactly (counts are additive across
 set ranges) — ``SetCollection(..., shards=N)`` or
 ``SessionEngine(..., shards=N)``.
@@ -43,9 +42,8 @@ parity tests in ``tests/test_kernels.py`` and the randomized harness in
 ``tests/test_parity_fuzz.py`` enforce on randomized collections.
 
 Routing thresholds (the auto crossover and the stacked-scan cost model)
-come from a first-use micro-calibration
-(:mod:`~repro.core.kernels.tuning`), persisted per process; ``REPRO_TUNING=off``
-restores the legacy fixed constants.
+are fixed constants (:mod:`~repro.core.kernels.tuning`); tests force a
+route through :func:`set_tuning`.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from __future__ import annotations
 import os
 import warnings
 
-from . import native_backend
+from . import native_backend, tuning
 from ._native import (
     SIMD_ENV_VAR,
     SimdFallbackWarning,
@@ -69,32 +67,11 @@ from .scoring import (
     select_best_many,
     sort_most_even,
 )
-from .sharded import (
-    SHARD_EXECUTOR_ENV_VAR,
-    ShardedKernel,
-    ShardExecutorFallbackWarning,
-)
-from .tuning import (
-    DEFAULT_AUTO_MIN_CELLS,
-    TUNING_ENV_VAR,
-    KernelTuning,
-    get_tuning,
-    set_tuning,
-)
+from .sharded import ShardedKernel
+from .tuning import KernelTuning, get_tuning, set_tuning
 
 #: Environment variable consulted by ``backend="auto"``.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Uncalibrated default for the bit-matrix size (``n_sets * n_entities``)
-#: below which ``auto`` keeps the big-int backend: on tiny collections the
-#: fixed per-call cost of array round-trips exceeds the whole scan.
-#: **Informational only** (kept for backward compatibility): the crossover
-#: actually applied is ``get_tuning().auto_min_cells`` — this default with
-#: ``REPRO_TUNING=off``, a measured value otherwise — and reassigning this
-#: constant changes nothing; use
-#: :func:`repro.core.kernels.tuning.set_tuning` to override routing.  An
-#: explicit ``backend="numpy"`` (or ``REPRO_BACKEND=numpy``) always wins.
-AUTO_MIN_CELLS = DEFAULT_AUTO_MIN_CELLS
 
 _BACKENDS = ("bigint", "numpy", "native")
 
@@ -187,20 +164,18 @@ def make_kernel(
     entity_masks: "dict[int, int]",
     n_sets: int,
     shards: int | None = None,
-    shard_executor: str | None = None,
 ) -> EntityStatsKernel:
     """Build the kernel for ``requested`` over an already-built index.
 
     ``auto`` is shape-aware: when neither the caller nor ``REPRO_BACKEND``
     names a backend, numpy is used only for collections whose bit-matrix
-    reaches the calibrated crossover (``auto_min_cells`` of
-    :func:`~repro.core.kernels.tuning.get_tuning`) — below that the
-    reference backend is faster.  Explicit requests are honoured
+    reaches :data:`~repro.core.kernels.tuning.AUTO_MIN_CELLS` — below
+    that the reference backend is faster.  Explicit requests are honoured
     unconditionally.
 
     ``shards`` > 1 wraps the chosen backend in a :class:`ShardedKernel`
-    (set-range shards on a worker pool, ``shard_executor`` selecting the
-    pool kind); collections too small to split stay unsharded.
+    (set-range shards on a thread pool); collections too small to split
+    stay unsharded.
     """
     env_value = (os.environ.get(BACKEND_ENV_VAR, "auto") or "auto").lower()
     explicit = requested not in (None, "auto") or env_value != "auto"
@@ -208,19 +183,14 @@ def make_kernel(
     if (
         name in ("numpy", "native")
         and not explicit
-        and n_sets * len(entity_masks) < get_tuning().auto_min_cells
+        and n_sets * len(entity_masks) < tuning.AUTO_MIN_CELLS
     ):
         # Both vectorized backends pay the same packing/array round-trip
-        # overhead, so the calibrated crossover applies to either.
+        # overhead, so the crossover applies to either.
         name = "bigint"
     if shards is not None and shards > 1 and n_sets > 1:
         return ShardedKernel(
-            sets,
-            entity_masks,
-            n_sets,
-            shards=shards,
-            base=name,
-            executor=shard_executor,
+            sets, entity_masks, n_sets, shards=shards, base=name
         )
     if name == "native":
         return NativeKernel(sets, entity_masks, n_sets)
@@ -239,10 +209,9 @@ def delta_kernel(
     """Build the epoch ``N+1`` kernel from its epoch ``N`` parent.
 
     The backend family is *inherited*, never re-routed: a collection that
-    started on numpy stays numpy (and sharded stays sharded, same executor)
-    across every delta, so two epochs of one collection always produce
-    results on the same code path.  What each family shares with its
-    parent:
+    started on numpy stays numpy (and sharded stays sharded) across every
+    delta, so two epochs of one collection always produce results on the
+    same code path.  What each family shares with its parent:
 
     * big-int — nothing to share: its constructor just stores references
       to the new index, which is already O(1);
@@ -251,7 +220,7 @@ def delta_kernel(
     * sharded — the sub-kernel *objects* of every shard the delta does not
       touch (:meth:`ShardedKernel.from_delta`); when the inherited shard
       bounds cannot represent the new size it falls back to a fresh
-      sharded build on the same base/executor.
+      sharded build on the same base.
 
     ``old`` is left fully usable — epoch N readers keep an exact snapshot.
     """
@@ -262,12 +231,7 @@ def delta_kernel(
         if kernel is not None:
             return kernel
         return make_kernel(
-            old.base_name,
-            sets,
-            entity_masks,
-            n_sets,
-            shards=old.n_shards,
-            shard_executor=old.executor_kind,
+            old.base_name, sets, entity_masks, n_sets, shards=old.n_shards
         )
     if isinstance(old, NumpyKernel):  # NativeKernel is-a NumpyKernel
         return type(old).from_delta(old, sets, entity_masks, n_sets, delta)
@@ -275,11 +239,9 @@ def delta_kernel(
 
 
 __all__ = [
-    "AUTO_MIN_CELLS",
     "BACKEND_ENV_VAR",
     "BackendUnavailableError",
     "BigIntKernel",
-    "DEFAULT_AUTO_MIN_CELLS",
     "EntityStatsKernel",
     "HAS_NATIVE",
     "HAS_NUMPY",
@@ -288,12 +250,9 @@ __all__ = [
     "NativeFallbackWarning",
     "NativeKernel",
     "NumpyKernel",
-    "SHARD_EXECUTOR_ENV_VAR",
     "SIMD_ENV_VAR",
-    "ShardExecutorFallbackWarning",
     "ShardedKernel",
     "SimdFallbackWarning",
-    "TUNING_ENV_VAR",
     "apply_simd_override",
     "available_backends",
     "delta_kernel",

@@ -14,19 +14,20 @@ of the whole package; packing/unpacking happens only at the kernel boundary
 (``int.to_bytes`` / ``int.from_bytes`` are C-speed).
 
 For small sub-collections deep in lookahead recursions a full-matrix pass
-would touch far more rows than the union of member sets; below a calibrated
-crossover (:mod:`repro.core.kernels.tuning`) the scan switches to the
-set-major CSR gather (or, on tiny collections, to gathering just the
+would touch far more rows than the union of member sets; below a fixed
+cost-model crossover (:mod:`repro.core.kernels.tuning`) the scan switches to
+the set-major CSR gather (or, on tiny collections, to gathering just the
 member union's rows).  All paths return identical, ascending-entity-id
 results — routing is a throughput decision, never a semantic one.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .base import EntityStatsKernel, KernelDelta
-from .tuning import CSR_MIN_MEMBERSHIP, KernelTuning, get_tuning
+from .tuning import CSR_MIN_MEMBERSHIP, get_tuning
 
 try:
     import numpy as np
@@ -64,12 +65,11 @@ class NumpyKernel(EntityStatsKernel):
         sets: Sequence[frozenset[int]],
         entity_masks: dict[int, int],
         n_sets: int,
-        tuning: "KernelTuning | None" = None,
     ) -> None:
         if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend_name
             raise RuntimeError("NumpyKernel requires numpy")
         super().__init__(sets, entity_masks, n_sets)
-        self._tuning = tuning if tuning is not None else get_tuning()
+        self._tuning = get_tuning()
         self._n_words = max(1, (n_sets + 63) // 64)
         self._n_bytes = self._n_words * 8
         row_eids = np.fromiter(
@@ -268,22 +268,23 @@ class NumpyKernel(EntityStatsKernel):
         return out
 
     def _row_unit_cost(self) -> float:
-        """Cost of one row-pass element in the tuned units.
+        """Cost of one row-pass element; numpy's is the unit.
 
         The routing hook subclasses override: the native backend's fused C
         sweep is cheaper per element, so it scales this unit down
-        (``tuning.native_row_cost``) instead of duplicating the formula.
+        (:data:`~repro.core.kernels.tuning.NATIVE_ROW_COST`) instead of
+        duplicating the formula.
         """
-        return self._tuning.row_cost
+        return 1.0
 
     def _set_major_wins(self, n_selected: int, width: int) -> bool:
-        """Tuned cost model: set-major gather vs bit-matrix row pass.
+        """Cost model: set-major gather vs bit-matrix row pass.
 
-        In calibrated "row-pass element" units: the gather pays the mask
-        unpack plus ``member_cost`` per membership of the selected sets; a
-        row pass pays :meth:`_row_unit_cost` per (candidate, nonzero mask
-        word) element.  Small masks are membership-bound, big masks
-        width-bound — route per mask.
+        In numpy row-pass element units: the gather pays the mask unpack
+        plus ``member_cost`` per membership of the selected sets; a row
+        pass pays :meth:`_row_unit_cost` per (candidate, nonzero mask word)
+        element.  Small masks are membership-bound, big masks width-bound —
+        route per mask.
         """
         t = self._tuning
         member = (
@@ -317,10 +318,10 @@ class NumpyKernel(EntityStatsKernel):
     ) -> "tuple[np.ndarray, np.ndarray]":
         words = self._words_of(mask)
         if candidates is None:
-            # Three strategies, picked per call by the calibrated cost
-            # model: deep recursion masks are tiny (membership-bound), root
-            # masks are huge (width-bound), and on tiny collections the
-            # plain member-union gather avoids building the CSR mirror.
+            # Three strategies, picked per call by the cost model: deep
+            # recursion masks are tiny (membership-bound), root masks are
+            # huge (width-bound), and on tiny collections the plain
+            # member-union gather avoids building the CSR mirror.
             n_rows = len(self._row_eids)
             if self._route_set_major(n_selected, n_rows):
                 counts = self._counts_by_members(mask, words)
@@ -353,22 +354,26 @@ class NumpyKernel(EntityStatsKernel):
     def _ensure_set_rows(self) -> None:
         """Build the set-major CSR mirror (member row indices per set).
 
-        Derived from the bit matrix itself: unpacking it to booleans and
-        taking the transposed nonzero yields (set, member row) pairs
-        grouped by set — the CSR flat array — without a Python-level walk
-        over every membership.
+        Built from the kernel's own sets: ``indptr`` from the set lengths,
+        the flat rows from one ``searchsorted`` of every member id into the
+        sorted row frame.  Time and memory track the total membership, not
+        ``n_entities * n_sets``.  Member order inside a set is the
+        frozenset's; :meth:`_counts_by_members` only bincounts, so it does
+        not matter.
         """
         if self._set_indptr is not None:
             return
-        bits = np.unpackbits(
-            self._matrix.view(np.uint8), axis=1, bitorder="little"
-        )[:, : self._n_sets]
-        set_idx, member_rows = np.nonzero(bits.T)
-        lengths = np.bincount(set_idx, minlength=self._n_sets)
-        indptr = np.zeros(self._n_sets + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
+        sets = self._sets
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)),
+            out=indptr[1:],
+        )
+        members = np.fromiter(
+            chain.from_iterable(sets), dtype=np.int64, count=int(indptr[-1])
+        )
+        self._set_flat_rows = np.searchsorted(self._row_eids, members)
         self._set_indptr = indptr
-        self._set_flat_rows = member_rows.astype(np.int64, copy=False)
 
     def _counts_by_members(self, mask: int, words_row: "np.ndarray") -> "np.ndarray":
         """Per-entity positive counts of ``mask`` via a set-major gather.

@@ -40,7 +40,6 @@ from .async_service import (
     ServiceOverloaded,
     SessionExpired,
     WorkerLost,
-    percentile,
 )
 from .cluster import ClusterError, ClusterService, worker_index_for
 from .engine import EngineStats, SessionEngine
@@ -73,5 +72,4 @@ __all__ = [
     "WorkerLost",
     "delta_batch_from_spec",
     "worker_index_for",
-    "percentile",
 ]

@@ -42,7 +42,7 @@ from typing import Hashable, Iterable, Mapping
 
 from ..core.collection import SetCollection
 from ..core.discovery import DiscoveryResult, DiscoverySession
-from .metrics import ServiceMetrics, quantile_sorted
+from .metrics import ServiceMetrics
 from .scheduler import FlushReport, ScanScheduler
 from .state import SessionRegistry
 
@@ -51,7 +51,6 @@ __all__ = [
     "ServiceClosed",
     "ServiceOverloaded",
     "SessionExpired",
-    "percentile",
 ]
 
 
@@ -113,15 +112,6 @@ class WorkerLost(RuntimeError):
     (:mod:`repro.serve.http`) can catch it without importing the cluster
     machinery it otherwise never touches.
     """
-
-
-def percentile(sorted_values: "list[float]", q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted list (0.0 if empty).
-
-    The serving demos and benchmarks all report ``ask()`` latency
-    p50/p95 through this one helper so the figures stay comparable.
-    """
-    return quantile_sorted(sorted_values, q)
 
 
 class AsyncDiscoveryService:

@@ -38,7 +38,6 @@ from typing import Hashable, Iterable, Mapping
 
 from ..core.collection import SetCollection
 from ..core.discovery import DiscoveryResult, DiscoverySession, Oracle
-from ..core.kernels.sharded import resolve_executor_name
 from .scheduler import EngineStats, ScanScheduler
 from .state import SessionRegistry
 
@@ -63,13 +62,8 @@ class SessionEngine:
         When given, re-kernel the collection with this many set-range
         shards (:meth:`~repro.core.collection.SetCollection.reshard`)
         before serving, so every stacked tick scan is dispatched through
-        the sharded worker pool.  Transcripts stay bit-identical — the
+        the sharded thread pool.  Transcripts stay bit-identical — the
         sharded kernels merge exact counts — only tick throughput changes.
-    shard_executor:
-        Worker-pool kind for ``shards`` (``"thread"``/``"process"``/
-        ``"serial"``; ``None`` defers to ``$REPRO_SHARD_EXECUTOR``).
-        Given without ``shards``, it applies to the collection's current
-        shard count (a no-op on unsharded collections).
     """
 
     def __init__(
@@ -77,26 +71,9 @@ class SessionEngine:
         collection: SetCollection,
         release_caches: bool = True,
         shards: int | None = None,
-        shard_executor: str | None = None,
     ) -> None:
-        if (
-            shards is None
-            and shard_executor is not None
-            and collection.shards > 1
-        ):
-            shards = collection.shards
-        if shards is not None:
-            # Unsharded kernels have no executor (current None): only a
-            # shard-count change forces a rebuild then — an executor
-            # request alone must not repack a large unsharded matrix for
-            # zero behavioural change.
-            current_exec = getattr(collection.kernel, "executor_kind", None)
-            if shards != collection.shards or (
-                shard_executor is not None
-                and current_exec is not None
-                and resolve_executor_name(shard_executor) != current_exec
-            ):
-                collection.reshard(shards, executor=shard_executor)
+        if shards is not None and shards != collection.shards:
+            collection.reshard(shards)
         self.registry = SessionRegistry(
             collection, release_caches=release_caches
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.collection import SetCollection
+from repro.core.kernels import set_tuning
 from repro.data.synthetic import SyntheticConfig, generate_collection
 
 #: The collection of Fig. 1 (paper Sec. 3).  'a' is uninformative.
@@ -55,3 +56,23 @@ def synthetic_tiny() -> SetCollection:
 def eid(collection: SetCollection, label) -> int:
     """Shorthand: entity id of a label."""
     return collection.universe.id_of(label)
+
+
+def build_with_tuning(raw, tuning, **kwargs) -> SetCollection:
+    """``SetCollection(raw, **kwargs)`` whose kernel routes with ``tuning``.
+
+    The override is installed only while the kernel is built: kernels read
+    it then, and ``from_delta`` children inherit it.  The set-major mirror
+    is pre-built so that on a small collection the single-mask membership
+    guard (``CSR_MIN_MEMBERSHIP``) cannot veto a route forced onto it.
+    ``tuning=None`` builds a plain collection.
+    """
+    if tuning is None:
+        return SetCollection(raw, **kwargs)
+    set_tuning(tuning)
+    try:
+        coll = SetCollection(raw, **kwargs)
+    finally:
+        set_tuning(None)
+    coll.kernel._ensure_set_rows()
+    return coll

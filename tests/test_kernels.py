@@ -19,13 +19,16 @@ from repro.core.collection import SetCollection
 from repro.core.batch import select_batch
 from repro.core.gain_k import GainKSelector, UnprunedKLPSelector, lb_k
 from repro.core.kernels import (
-    AUTO_MIN_CELLS,
     BackendUnavailableError,
     HAS_NATIVE,
     HAS_NUMPY,
+    KernelTuning,
     available_backends,
+    get_tuning,
     resolve_backend_name,
+    set_tuning,
 )
+from repro.core.kernels import tuning as tuning_mod
 from repro.core.lookahead import KLPSelector
 from repro.core.selection import (
     IndistinguishablePairsSelector,
@@ -99,11 +102,12 @@ class TestBackendSelection:
 
     @needs_numpy
     def test_auto_small_collection_prefers_bigint(self, monkeypatch):
-        # fig1's bit-matrix is far below AUTO_MIN_CELLS; with no explicit
-        # request from anywhere, auto keeps the cheaper reference backend.
+        # fig1's bit-matrix is far below the auto crossover; with no
+        # explicit request from anywhere, auto keeps the cheaper reference
+        # backend.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         coll = SetCollection.from_named_sets(FIG1_SETS)
-        assert coll.n_sets * coll.n_entities < AUTO_MIN_CELLS
+        assert coll.n_sets * coll.n_entities < tuning_mod.AUTO_MIN_CELLS
         assert coll.backend == "bigint"
 
     @needs_numpy
@@ -475,6 +479,73 @@ class TestSelectionParity:
             sel_ref = KLPSelector(k=2, metric=metric)
             sel_vec = KLPSelector(k=2, metric=metric)
             assert sel_ref.lower_bound(ref) == sel_vec.lower_bound(vec)
+
+
+# --------------------------------------------------------------------- #
+# Routing constants and the set-major mirror
+# --------------------------------------------------------------------- #
+
+
+class TestRoutingConstants:
+    @pytest.mark.parametrize("env", [None, "off", "auto", "on"])
+    def test_reset_restores_fixed_defaults(self, monkeypatch, env):
+        # Routing never depends on the process: no measurement, whatever
+        # the environment says.
+        if env is None:
+            monkeypatch.delenv("REPRO_TUNING", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TUNING", env)
+        set_tuning(None)
+        assert get_tuning() == tuning_mod.DEFAULT_TUNING
+        assert get_tuning() == KernelTuning(
+            member_cost=tuning_mod.DEFAULT_MEMBER_COST
+        )
+        assert get_tuning().source == "default"
+
+    def test_override_applies_until_reset(self):
+        set_tuning(KernelTuning(member_cost=0.0))
+        try:
+            assert get_tuning().member_cost == 0.0
+            assert get_tuning().source == "override"
+        finally:
+            set_tuning(None)
+        assert get_tuning() is tuning_mod.DEFAULT_TUNING
+
+
+@needs_numpy
+class TestSetMajorMirror:
+    def _kernel(self):
+        rng = random.Random(41)
+        raw = [rng.sample(range(3906), rng.randint(2, 9)) for _ in range(3000)]
+        return SetCollection(raw, backend="numpy", dedupe=True).kernel
+
+    def test_mirror_lists_each_sets_member_rows(self):
+        kernel = self._kernel()
+        kernel._ensure_set_rows()
+        indptr = kernel._set_indptr.tolist()
+        flat = kernel._set_flat_rows.tolist()
+        assert len(indptr) == kernel._n_sets + 1
+        for i, members in enumerate(kernel._sets):
+            rows = sorted(flat[indptr[i] : indptr[i + 1]])
+            assert rows == sorted(kernel._row_of[e] for e in members)
+
+    def test_mirror_build_memory_tracks_membership(self):
+        # The mirror is built from the sets, never from a byte-per-cell
+        # unpacking of the (n_entities x n_sets) matrix.
+        import tracemalloc
+
+        kernel = self._kernel()
+        membership = sum(len(s) for s in kernel._sets)
+        tracemalloc.start()
+        try:
+            kernel._ensure_set_rows()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 32 * (membership + kernel._n_sets) + (1 << 16)
+        cells = len(kernel._row_eids) * kernel._n_sets
+        assert bound < cells  # the bound would catch a per-cell build
+        assert peak < bound, f"mirror build peaked at {peak} bytes"
 
 
 # --------------------------------------------------------------------- #

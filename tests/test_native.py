@@ -63,8 +63,8 @@ class TestGating:
 
     @needs_native
     def test_auto_small_collection_still_prefers_bigint(self, monkeypatch):
-        # The calibrated auto crossover applies to native exactly as it
-        # does to numpy: tiny collections stay on the reference backend.
+        # The auto crossover applies to native exactly as it does to
+        # numpy: tiny collections stay on the reference backend.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         coll = SetCollection.from_named_sets(FIG1_SETS)
         assert coll.backend == "bigint"
@@ -304,194 +304,3 @@ class TestSimdDispatch:
             check=True,
         )
         assert out.stdout.strip() == "scalar"
-
-
-@needs_native
-class TestThreadedScan:
-    """The in-C pthread fan-out: parity with the serial sweep, validation."""
-
-    def setup_method(self):
-        import numpy as np
-
-        from repro.core.kernels._native import ext
-
-        self.np = np
-        self.ext = ext
-        if not ext.threaded_scan_available():  # pragma: no cover
-            pytest.skip("this build lacks the pthread scan pool")
-        rng = np.random.default_rng(11)
-        self.n_words = 5
-        self.matrix = rng.integers(
-            0, 2**63, size=(37, self.n_words), dtype=np.uint64
-        )
-        self.masks = rng.integers(
-            0, 2**63, size=(3, self.n_words), dtype=np.uint64
-        )
-        self.ns = np.array([40, 7, 150], dtype=np.int64)
-
-    def _run(self, fn, *extra):
-        n_masks, n_rows = self.masks.shape[0], self.matrix.shape[0]
-        out_rows = self.np.empty(n_masks * n_rows, dtype=self.np.int64)
-        out_counts = self.np.empty_like(out_rows)
-        indptr = self.np.empty(n_masks + 1, dtype=self.np.int64)
-        fn(
-            self.matrix, self.n_words, self.masks, self.ns,
-            *extra, out_rows, out_counts, indptr,
-        )
-        kept = int(indptr[-1])
-        return out_rows[:kept].tolist(), out_counts[:kept].tolist(), (
-            indptr.tolist()
-        )
-
-    def test_parity_with_serial_sweep_at_every_thread_count(self):
-        want = self._run(self.ext.scan_informative_many)
-        for n_threads in (1, 2, 3, 4, 7, 64):
-            got = self._run(
-                self.ext.scan_informative_threaded, n_threads
-            )
-            assert got == want, f"n_threads={n_threads} diverged"
-
-    def test_nonpositive_thread_count_rejected(self):
-        with pytest.raises(ValueError, match="n_threads"):
-            self._run(self.ext.scan_informative_threaded, 0)
-        with pytest.raises(ValueError, match="n_threads"):
-            self._run(self.ext.scan_informative_threaded, -2)
-
-    def test_kernel_scan_threads_parity(self):
-        from repro.core.kernels.tuning import KernelTuning
-
-        tuning = KernelTuning(thread_min_cells=1)
-        serial = native_backend.NativeKernel(
-            *_kernel_index(RAW), tuning=tuning, scan_threads=1
-        )
-        threaded = native_backend.NativeKernel(
-            *_kernel_index(RAW), tuning=tuning, scan_threads=4
-        )
-        mask = (1 << len(RAW)) - 1
-        n = len(RAW)
-        se, sc = serial.scan_informative(mask, n, None)
-        te, tc = threaded.scan_informative(mask, n, None)
-        assert se.tolist() == te.tolist()
-        assert sc.tolist() == tc.tolist()
-        s_many = serial.scan_informative_many([mask, mask >> 1], [n, n - 1])
-        t_many = threaded.scan_informative_many([mask, mask >> 1], [n, n - 1])
-        for (a, b), (c, d) in zip(s_many, t_many):
-            assert a.tolist() == c.tolist()
-            assert b.tolist() == d.tolist()
-
-    def test_small_scans_stay_serial(self):
-        kernel = native_backend.NativeKernel(
-            *_kernel_index(RAW), scan_threads=8
-        )
-        # Default tuning: 6 entities x 1 word is far below the crossover.
-        assert kernel._scan_parts(len(kernel._row_eids)) == 1
-
-    def test_scan_threads_survive_from_delta(self):
-        from repro.core.kernels.base import KernelDelta
-
-        sets, masks, n = _kernel_index(RAW)
-        kernel = native_backend.NativeKernel(
-            sets, masks, n, scan_threads=3
-        )
-        new = native_backend.NativeKernel.from_delta(
-            kernel, sets, masks, n, KernelDelta(dirty_new=(), dirty_old=())
-        )
-        # The class default is 1; the delta path must not resurrect it on
-        # the instance built via __new__.
-        assert new._scan_threads in (1, 3)
-        rebuilt = native_backend.NativeKernel.from_delta(
-            kernel, sets, masks, n, KernelDelta(dirty_new=(0,), dirty_old=(0,))
-        )
-        assert rebuilt.scan_informative(
-            (1 << n) - 1, n, None
-        )[0].tolist() == kernel.scan_informative(
-            (1 << n) - 1, n, None
-        )[0].tolist()
-
-
-def _kernel_index(raw):
-    """Build the (sets, entity_masks, n_sets) index triple for ``raw``."""
-    sets = tuple(frozenset(s) for s in raw)
-    entity_masks: dict[int, int] = {}
-    for i, s in enumerate(sets):
-        for e in s:
-            entity_masks[e] = entity_masks.get(e, 0) | (1 << i)
-    return sets, entity_masks, len(sets)
-
-
-@needs_native
-class TestNativeExecutor:
-    """``executor="native"``: one full-width kernel on the C thread pool."""
-
-    def setup_method(self):
-        from repro.core.kernels._native import ext
-
-        if not ext.threaded_scan_available():  # pragma: no cover
-            pytest.skip("this build lacks the pthread scan pool")
-
-    def test_delegates_to_full_width_inner_kernel(self):
-        coll = SetCollection(
-            RAW, backend="native", shards=4, shard_executor="native"
-        )
-        kernel = coll._kernel
-        assert kernel.executor_kind == "native"
-        assert kernel._inner is not None
-        assert kernel._inner._scan_threads == 4
-        assert kernel.n_shards == 4
-        assert kernel.name == "native[t4]"
-        ref = SetCollection(RAW, backend="bigint")
-        assert coll.informative_entities(
-            coll.full_mask
-        ) == ref.informative_entities(ref.full_mask)
-
-    def test_non_native_base_degrades_with_warning(self, monkeypatch):
-        from repro.core.kernels import sharded as sharded_mod
-
-        monkeypatch.setattr(sharded_mod, "_executor_fallback_warned", False)
-        with pytest.warns(
-            kernels.ShardExecutorFallbackWarning, match="no in-C"
-        ):
-            coll = SetCollection(
-                RAW, backend="numpy", shards=2, shard_executor="native"
-            )
-        assert coll._kernel.executor_kind == "thread"
-        ref = SetCollection(RAW, backend="bigint")
-        assert coll.informative_entities(
-            coll.full_mask
-        ) == ref.informative_entities(ref.full_mask)
-
-    def test_missing_pthread_pool_degrades_with_warning(self, monkeypatch):
-        from repro.core.kernels import sharded as sharded_mod
-
-        monkeypatch.setattr(sharded_mod, "_executor_fallback_warned", False)
-        monkeypatch.setattr(
-            sharded_mod._ext, "threaded_scan_available", lambda: False
-        )
-        with pytest.warns(
-            kernels.ShardExecutorFallbackWarning, match="pthread"
-        ):
-            coll = SetCollection(
-                RAW, backend="native", shards=2, shard_executor="native"
-            )
-        assert coll._kernel.executor_kind == "thread"
-
-    def test_delta_preserves_executor_and_threads(self):
-        from repro.core.collection import DeltaBatch
-
-        coll = SetCollection(
-            RAW, backend="native", shards=4, shard_executor="native"
-        )
-        labels = [coll.universe.label(e) for e in sorted(coll.entity_ids())]
-        new = coll.apply_delta(
-            DeltaBatch().add_sets({"delta-x": labels[:4]})
-        )
-        kernel = new._kernel
-        assert kernel.executor_kind == "native"
-        assert kernel._inner._scan_threads == 4
-        assert kernel.n_shards == 4
-        ref = SetCollection(
-            [list(s) for s in RAW] + [sorted(labels[:4])], backend="bigint"
-        )
-        assert sorted(
-            new.informative_entities(new.full_mask)
-        ) == sorted(ref.informative_entities(ref.full_mask))

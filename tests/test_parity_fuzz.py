@@ -14,7 +14,7 @@ Every assertion message carries the generator seed; replay a failure with::
 
 The CSR and row-pass variants are forced by overriding the numpy kernel's
 tuning (routing never changes results — that is exactly the property under
-test), the sharded variants run both bases with a thread pool.
+test), the sharded variants run every base on the shard thread pool.
 """
 
 from __future__ import annotations
@@ -37,50 +37,37 @@ from repro.core.kernels import (
 )
 from repro.core.selection import InfoGainSelector, information_gain
 
+from conftest import build_with_tuning
+
 N_SEEDS = 200
 
-#: fuzz variants: (label, collection factory kwargs, tuning override)
-#: tuning of 0.0 forces the set-major CSR gather everywhere, 1e18 forces
-#: the row pass everywhere; None keeps the calibrated routing.
+#: Forces the set-major CSR gather on every mask.
+FORCE_CSR = KernelTuning(member_cost=0.0)
+#: Forces the bit-matrix row pass on every mask.
+FORCE_ROWS = KernelTuning(member_cost=1e18)
+
+
+#: fuzz variants: (label, collection factory kwargs, tuning override);
+#: None keeps the default routing.
 def _variants():
     variants = [("bigint-sharded", dict(backend="bigint", shards=3), None)]
     if HAS_NUMPY:
         variants += [
             ("numpy", dict(backend="numpy"), None),
-            ("numpy-csr", dict(backend="numpy"), KernelTuning(member_cost=0.0)),
-            (
-                "numpy-rows",
-                dict(backend="numpy"),
-                KernelTuning(member_cost=1e18),
-            ),
+            ("numpy-csr", dict(backend="numpy"), FORCE_CSR),
+            ("numpy-rows", dict(backend="numpy"), FORCE_ROWS),
             ("numpy-sharded", dict(backend="numpy", shards=4), None),
         ]
     if HAS_NATIVE:
         # The full equality chain bigint == numpy == native == sharded-native:
-        # calibrated routing, the forced C row sweep (the fused kernel must
+        # default routing, the forced C row sweep (the fused kernel must
         # agree even where routing would have picked the CSR gather), and
         # native sub-kernels under the sharded merge.
         variants += [
             ("native", dict(backend="native"), None),
-            (
-                "native-rows",
-                dict(backend="native"),
-                KernelTuning(member_cost=1e18),
-            ),
+            ("native-rows", dict(backend="native"), FORCE_ROWS),
             ("native-sharded", dict(backend="native", shards=4), None),
         ]
-        from repro.core.kernels._native import ext as _ext
-
-        if _ext.threaded_scan_available():
-            # The in-C pthread fan-out, forced on by a floor-zero
-            # crossover so even these tiny matrices take the banded path.
-            variants += [
-                (
-                    "native-threaded",
-                    dict(backend="native", shards=4, shard_executor="native"),
-                    KernelTuning(thread_min_cells=1),
-                ),
-            ]
     return variants
 
 
@@ -145,20 +132,6 @@ def _as_list(seq) -> list:
     return [int(x) for x in seq]
 
 
-def _build(raw, kwargs, tuning):
-    coll = SetCollection(raw, **kwargs)
-    if tuning is not None:
-        kernel = coll._kernel
-        # The "native" executor delegates to one full-width inner kernel;
-        # the override must land where the routing decisions are made.
-        kernel = getattr(kernel, "_inner", None) or kernel
-        kernel._tuning = tuning
-        # pre-build the CSR mirror so the single-mask crossover guard
-        # (CSR_MIN_MEMBERSHIP) cannot veto the forced set-major route
-        kernel._ensure_set_rows()
-    return coll
-
-
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_cross_backend_parity(seed):
     raw = random_raw_sets(seed)
@@ -174,7 +147,7 @@ def test_cross_backend_parity(seed):
     ref_stacked = ref.informative_stats_many(masks)
 
     for label, kwargs, tuning in _variants():
-        coll = _build(raw, kwargs, tuning)
+        coll = build_with_tuning(raw, tuning, **kwargs)
         ctx = f"[parity-fuzz seed={seed} backend={label}]"
         assert (coll.n_sets, coll.n_entities) == (ref.n_sets, ref.n_entities)
         for m, stats, counts, parts in zip(
@@ -238,7 +211,7 @@ def test_candidate_hints_and_selection_parity(seed):
             primary,
         )
         for label, kwargs, tuning in _variants():
-            coll = _build(raw, kwargs, tuning)
+            coll = build_with_tuning(raw, tuning, **kwargs)
             ctx = f"[parity-fuzz seed={seed} backend={label}]"
             got = coll.informative_stats_many(children, hints)
             for g, want in zip(got, ref_hinted):
@@ -265,35 +238,24 @@ def test_candidate_hints_and_selection_parity(seed):
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-@pytest.mark.parametrize(
-    "executor", ["serial", "thread", "process", "shm", "native"]
-)
-def test_shard_executors_agree(executor):
-    """Every worker-pool kind produces the reference results."""
-    if executor == "native":
-        if not HAS_NATIVE:
-            pytest.skip("native extension not built")
-        from repro.core.kernels._native import ext as _ext
-
-        if not _ext.threaded_scan_available():
-            pytest.skip("this build lacks the pthread scan pool")
-    if executor == "shm":
-        from repro.core.kernels import shm as _shm
-        from repro.core.kernels.sharded import _fork_available
-
-        if not (_shm.HAS_SHM and _fork_available()):
-            pytest.skip("shm executor needs numpy, shared_memory and fork")
-    base = "native" if executor == "native" else "numpy"
+def test_shard_thread_pool_agrees_after_close():
+    """The shard thread pool gives the reference results, and ``close()``
+    only releases the pool: the next parallel call starts a fresh one."""
     raw = random_raw_sets(7)
     ref = SetCollection(raw, backend="bigint")
-    coll = SetCollection(
-        raw, backend=base, shards=3, shard_executor=executor
-    )
+    coll = SetCollection(raw, backend="numpy", shards=3)
     rng = random.Random(7)
     masks = word_boundary_masks(rng, ref.n_sets, ref.full_mask)
+    kernel = coll._kernel
     for m in masks:
         assert coll.informative_entities(m) == ref.informative_entities(m)
-    coll._kernel.close()
+    assert kernel._pool is not None
+    kernel.close()
+    assert kernel._pool is None
+    coll.clear_caches()
+    for m in masks:
+        assert coll.informative_entities(m) == ref.informative_entities(m)
+    kernel.close()
 
 
 @pytest.mark.skipif(not HAS_NATIVE, reason="native extension not built")
@@ -302,9 +264,9 @@ def test_simd_tier_parity(seed):
     """Every SIMD tier the build/CPU carries is bit-identical to bigint.
 
     The pinned tier is process-global, so the loop pins each tier in turn
-    and replays the same masks over a fresh native collection (plain and
-    in-C-threaded); the auto tier is restored afterwards.  Replay a
-    failure with the seed in the test id.
+    and replays the same masks over fresh native collections (plain and
+    sharded); the auto tier is restored afterwards.  Replay a failure with
+    the seed in the test id.
     """
     from repro.core.kernels._native import ext as _ext
 
@@ -316,20 +278,15 @@ def test_simd_tier_parity(seed):
     ref.clear_caches()
     ref_stacked = ref.informative_stats_many(masks)
     auto = _ext.simd_level()
-    variants = [("native", dict(backend="native"), None)]
-    if _ext.threaded_scan_available():
-        variants.append(
-            (
-                "native-threaded",
-                dict(backend="native", shards=4, shard_executor="native"),
-                KernelTuning(thread_min_cells=1),
-            )
-        )
+    variants = [
+        ("native", dict(backend="native")),
+        ("native-sharded", dict(backend="native", shards=4)),
+    ]
     try:
         for tier in _ext.available_simd_levels():
             _ext.set_simd_level(tier)
-            for label, kwargs, tuning in variants:
-                coll = _build(raw, kwargs, tuning)
+            for label, kwargs in variants:
+                coll = SetCollection(raw, **kwargs)
                 ctx = f"[simd-fuzz seed={seed} tier={tier} backend={label}]"
                 for m, want in zip(masks, ref_stats):
                     got = coll.informative_stats(m)
@@ -353,62 +310,6 @@ def test_simd_tier_parity(seed):
         _ext.set_simd_level(auto)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-@pytest.mark.parametrize("seed", range(0, N_SEEDS, 25))
-def test_shm_executor_fuzz(seed):
-    """Seeded adversarial collections through the shm worker processes.
-
-    A bounded seed subset (worker spawns are milliseconds, not
-    microseconds); the wide sweep runs in-process via the variants above.
-    Replay a failure with the seed in the test id.
-    """
-    from repro.core.kernels import shm as _shm
-    from repro.core.kernels.sharded import _fork_available
-
-    if not (_shm.HAS_SHM and _fork_available()):
-        pytest.skip("shm executor needs numpy, shared_memory and fork")
-    raw = random_raw_sets(seed)
-    ref = SetCollection(raw, backend="bigint")
-    rng = random.Random(seed ^ 0x5311)
-    masks = word_boundary_masks(rng, ref.n_sets, ref.full_mask)
-    probe_eids = list(range(-2, ref.n_entities + 3))
-    bases = ["numpy"] + (["native"] if HAS_NATIVE else [])
-    for base in bases:
-        coll = SetCollection(
-            raw, backend=base, shards=3, shard_executor="shm"
-        )
-        ctx = f"[shm-fuzz seed={seed} base={base}]"
-        try:
-            for m in masks:
-                got = coll.informative_stats(m)
-                want = ref.informative_stats(m)
-                assert _as_list(got[0]) == _as_list(want[0]), (
-                    f"{ctx} eids diverged on mask {m:#x}"
-                )
-                assert _as_list(got[1]) == _as_list(want[1]), (
-                    f"{ctx} counts diverged on mask {m:#x}"
-                )
-                assert coll.positive_counts(
-                    m, probe_eids
-                ) == ref.positive_counts(m, probe_eids), (
-                    f"{ctx} positive_counts diverged on mask {m:#x}"
-                )
-            coll.clear_caches()
-            ref.clear_caches()
-            for got, want in zip(
-                coll.informative_stats_many(masks),
-                ref.informative_stats_many(masks),
-            ):
-                assert _as_list(got[0]) == _as_list(want[0]), (
-                    f"{ctx} stacked eids diverged"
-                )
-                assert _as_list(got[1]) == _as_list(want[1]), (
-                    f"{ctx} stacked counts diverged"
-                )
-        finally:
-            coll._kernel.close()
-
-
 # --------------------------------------------------------------------- #
 # Delta fuzz: epoch chains vs from-scratch rebuilds
 # --------------------------------------------------------------------- #
@@ -418,20 +319,27 @@ DELTA_STEPS = 4
 
 
 def _delta_variants():
-    """Backend variants every delta chain replays over (all four families)."""
+    """Backend variants every delta chain replays over (all four families).
+
+    ``(label, collection kwargs, tuning override)``.  ``numpy-csr`` forces
+    the set-major route; the override rides along every ``from_delta``, so
+    each evolved epoch builds its own CSR mirror, which the chain test
+    holds against a fresh build's.
+    """
     variants = [
-        ("bigint", dict(backend="bigint")),
-        ("bigint-sharded", dict(backend="bigint", shards=3)),
+        ("bigint", dict(backend="bigint"), None),
+        ("bigint-sharded", dict(backend="bigint", shards=3), None),
     ]
     if HAS_NUMPY:
         variants += [
-            ("numpy", dict(backend="numpy")),
-            ("numpy-sharded", dict(backend="numpy", shards=4)),
+            ("numpy", dict(backend="numpy"), None),
+            ("numpy-csr", dict(backend="numpy"), FORCE_CSR),
+            ("numpy-sharded", dict(backend="numpy", shards=4), None),
         ]
     if HAS_NATIVE:
         variants += [
-            ("native", dict(backend="native")),
-            ("native-sharded", dict(backend="native", shards=4)),
+            ("native", dict(backend="native"), None),
+            ("native-sharded", dict(backend="native", shards=4), None),
         ]
     return variants
 
@@ -481,19 +389,29 @@ def random_delta_batch(rng: random.Random, coll: SetCollection, tag: str) -> Del
     return batch
 
 
-def _rebuild(coll: SetCollection, backend_kwargs: dict) -> SetCollection:
+def _rebuild(
+    coll: SetCollection, backend_kwargs: dict, tuning=None
+) -> SetCollection:
     """From-scratch rebuild of ``coll``'s exact content on a shared universe.
 
     Interning into the *same* universe keeps entity ids identical, which
     is what makes stats (and packed matrices) directly comparable.
     """
-    return SetCollection(
+    return build_with_tuning(
         [[coll.universe.label(e) for e in sorted(coll._sets[i])]
          for i in range(coll.n_sets)],
+        tuning,
         names=list(coll.names),
         universe=coll.universe,
         **backend_kwargs,
     )
+
+
+def _csr_members(kernel) -> list[list[int]]:
+    """The set-major mirror as sorted member rows per set."""
+    indptr = kernel._set_indptr.tolist()
+    flat = kernel._set_flat_rows.tolist()
+    return [sorted(flat[lo:hi]) for lo, hi in zip(indptr, indptr[1:])]
 
 
 def _assert_stats_equal(coll, ref, masks, ctx):
@@ -525,10 +443,12 @@ def test_delta_chain_matches_rebuild(seed):
     raw = random_raw_sets(seed)
     rng = random.Random(seed ^ 0xDE17A)
     evolved = {
-        label: SetCollection(raw, **kwargs)
-        for label, kwargs in _delta_variants()
+        label: build_with_tuning(raw, tuning, **kwargs)
+        for label, kwargs, tuning in _delta_variants()
     }
-    kwargs_of = dict(_delta_variants())
+    variant_of = {
+        label: (kwargs, tuning) for label, kwargs, tuning in _delta_variants()
+    }
     driver = evolved["bigint"]
     for step in range(DELTA_STEPS):
         batch = random_delta_batch(rng, driver, f"{seed}.{step}")
@@ -554,7 +474,8 @@ def test_delta_chain_matches_rebuild(seed):
     masks = word_boundary_masks(mask_rng, driver.n_sets, driver.full_mask)
     for label, coll in evolved.items():
         ctx = f"[delta-fuzz seed={seed} backend={label}]"
-        rebuilt = _rebuild(driver, kwargs_of[label])
+        kwargs, tuning = variant_of[label]
+        rebuilt = _rebuild(driver, kwargs, tuning)
         assert coll.epoch == applied, f"{ctx} epoch drifted"
         assert coll.names == rebuilt.names, f"{ctx} names diverged"
         assert [coll._sets[i] for i in range(coll.n_sets)] == [
@@ -563,8 +484,16 @@ def test_delta_chain_matches_rebuild(seed):
         assert coll._entity_masks == rebuilt._entity_masks, (
             f"{ctx} entity masks diverged"
         )
+        if tuning is not None:
+            assert coll._kernel._tuning.member_cost == tuning.member_cost, (
+                f"{ctx} override lost"
+            )
+            coll._kernel._ensure_set_rows()
+            assert _csr_members(coll._kernel) == _csr_members(
+                rebuilt._kernel
+            ), f"{ctx} set-major mirror diverged from the rebuild"
         _assert_stats_equal(coll, rebuilt, masks, ctx)
-        if label in ("numpy", "native"):
+        if label in ("numpy", "numpy-csr", "native"):
             assert (
                 coll._kernel._matrix.tobytes()
                 == rebuilt._kernel._matrix.tobytes()
@@ -584,7 +513,7 @@ def test_delta_chain_golden_transcripts(seed):
     from repro.oracle.user import SimulatedUser
 
     raw = random_raw_sets(seed)
-    for label, kwargs in _delta_variants():
+    for label, kwargs, _tuning in _delta_variants():
         if label not in ("bigint", "numpy", "native"):
             continue
         # Re-seeded per backend so every family replays the same chain.

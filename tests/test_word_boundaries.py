@@ -17,31 +17,24 @@ import random
 import pytest
 
 from repro.core.collection import SetCollection
-from repro.core.kernels import HAS_NATIVE, HAS_NUMPY
+from repro.core.kernels import HAS_NATIVE, HAS_NUMPY, KernelTuning
 
-#: (backend, shards, shard_executor) triples covering every kernel family
-#: and execution strategy available in this environment.
+from conftest import build_with_tuning
+
+#: (backend, shards, route) triples covering every kernel family available
+#: in this environment.  ``route="csr"`` forces the set-major CSR gather on
+#: every mask; ``None`` keeps the default routing.
 BACKENDS = [("bigint", None, None), ("bigint", 3, None)]
 if HAS_NUMPY:
     BACKENDS += [("numpy", None, None), ("numpy", 4, None)]
+    BACKENDS.append(("numpy", None, "csr"))
 if HAS_NATIVE:
     BACKENDS += [("native", None, None), ("native", 4, None)]
-    from repro.core.kernels._native import ext as _ext
-
-    if _ext.threaded_scan_available():
-        BACKENDS.append(("native", 4, "native"))
-if HAS_NUMPY:
-    from repro.core.kernels import shm as _shm
-    from repro.core.kernels.sharded import _fork_available
-
-    if _shm.HAS_SHM and _fork_available():
-        BACKENDS.append(("numpy", 3, "shm"))
 
 
-def build(raw, backend, shards, executor) -> SetCollection:
-    return SetCollection(
-        raw, backend=backend, shards=shards, shard_executor=executor
-    )
+def build(raw, backend, shards, route) -> SetCollection:
+    tuning = KernelTuning(member_cost=0.0) if route == "csr" else None
+    return build_with_tuning(raw, tuning, backend=backend, shards=shards)
 
 
 def exact_word_collection(n_sets: int, seed: int = 0) -> list[list[int]]:
@@ -66,11 +59,11 @@ def reference(raw) -> SetCollection:
 @pytest.mark.parametrize(
     "n_sets", [63, 64, 65, 127, 128, 129, 255, 256, 257]
 )
-@pytest.mark.parametrize("backend,shards,executor", BACKENDS)
-def test_exact_word_multiples(n_sets, backend, shards, executor):
+@pytest.mark.parametrize("backend,shards,route", BACKENDS)
+def test_exact_word_multiples(n_sets, backend, shards, route):
     raw = exact_word_collection(n_sets, seed=n_sets)
     ref = reference(raw)
-    coll = build(raw, backend, shards, executor)
+    coll = build(raw, backend, shards, route)
     eids = list(range(-1, ref.n_entities + 2))
     # the highest set's bit lives at the very edge of the last word
     masks = [
@@ -91,13 +84,13 @@ def test_exact_word_multiples(n_sets, backend, shards, executor):
         )
 
 
-@pytest.mark.parametrize("backend,shards,executor", BACKENDS)
-def test_all_zero_tail_words(backend, shards, executor):
+@pytest.mark.parametrize("backend,shards,route", BACKENDS)
+def test_all_zero_tail_words(backend, shards, route):
     # 130 sets (3 words) but the probed masks select only word-0 sets, so
     # words 1-2 of the packed mask are entirely zero.
     raw = exact_word_collection(130, seed=9)
     ref = reference(raw)
-    coll = build(raw, backend, shards, executor)
+    coll = build(raw, backend, shards, route)
     word0 = (1 << 40) - 1
     masks = [word0, (1 << 63) | 1, 0b1010101]
     for mask in masks:
@@ -108,26 +101,26 @@ def test_all_zero_tail_words(backend, shards, executor):
         assert all(0 < int(c) < mask.bit_count() for c in stats[1])
 
 
-@pytest.mark.parametrize("backend,shards,executor", BACKENDS)
-def test_tail_only_masks(backend, shards, executor):
+@pytest.mark.parametrize("backend,shards,route", BACKENDS)
+def test_tail_only_masks(backend, shards, route):
     # The complementary case: word 0 of the packed mask entirely zero.
     raw = exact_word_collection(130, seed=11)
     ref = reference(raw)
-    coll = build(raw, backend, shards, executor)
+    coll = build(raw, backend, shards, route)
     tail_only = ref.full_mask & ~((1 << 64) - 1)
     assert coll.informative_entities(tail_only) == ref.informative_entities(
         tail_only
     )
 
 
-@pytest.mark.parametrize("backend,shards,executor", BACKENDS)
-def test_stray_bits_above_n_sets_scan(backend, shards, executor):
+@pytest.mark.parametrize("backend,shards,route", BACKENDS)
+def test_stray_bits_above_n_sets_scan(backend, shards, route):
     # Regression: member_union (the small-mask scan path) used to index
     # out of range on mask bits >= n_sets on the big-int backend, while
     # the numpy packing dropped them — backends must agree instead.
     raw = exact_word_collection(65, seed=5)
     ref = reference(raw)
-    coll = build(raw, backend, shards, executor)
+    coll = build(raw, backend, shards, route)
     stray = ref.full_mask | (1 << 80) | (1 << 130)
     small_stray = 0b11 | (1 << 90)
     for mask in (stray, small_stray):
@@ -137,10 +130,10 @@ def test_stray_bits_above_n_sets_scan(backend, shards, executor):
         assert coll.entities_in(mask) == ref.entities_in(mask)
 
 
-@pytest.mark.parametrize("backend,shards,executor", BACKENDS)
-def test_single_set_and_empty_masks(backend, shards, executor):
+@pytest.mark.parametrize("backend,shards,route", BACKENDS)
+def test_single_set_and_empty_masks(backend, shards, route):
     raw = exact_word_collection(64, seed=3)
-    coll = build(raw, backend, shards, executor)
+    coll = build(raw, backend, shards, route)
     assert coll.informative_entities(1 << 63) == []
     assert coll.informative_entities(0) == []
     assert coll.positive_counts(0, [0, 1, 2]) == [0, 0, 0]
