@@ -1,4 +1,5 @@
-"""Bench: ablation of the three pruning devices (DESIGN.md Sec. 5)."""
+"""Bench: ablation of k-LP's three pruning devices (sorted early break,
+recursive upper limits, memoisation)."""
 
 from conftest import BENCH_SCALE, report_tables
 

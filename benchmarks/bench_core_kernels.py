@@ -9,8 +9,7 @@ The module doubles as the **backend-comparison bench** for the pluggable
 entity-statistics kernels (:mod:`repro.core.kernels`): it times the
 full-entity informative scan, the batched split counts and a root
 selection on the big-int reference and the NumPy bit-matrix backend over
-the same collection, writes ``benchmarks/out/BENCH_kernels.json`` (CI
-uploads it as an artifact for the perf trajectory, see
+the same collection, writes ``benchmarks/out/BENCH_kernels.json`` (see
 ``benchmarks/README.md``) and asserts the vectorized backend's minimum
 speedup on the scan.  Run standalone via
 ``python benchmarks/bench_core_kernels.py`` or as part of

@@ -15,11 +15,9 @@ the rebuild for exact content parity (names, sets, entity masks — and the
 packed bit-matrix byte-for-byte on the vectorized backend): parity is the
 contract, the speedup is the product.
 
-Writes ``benchmarks/out/BENCH_mutation.json`` — CI uploads it with the
-other ``BENCH_*.json`` artifacts, the perf trajectory picks up its
-top-level ``speedup``, and the gh-pages bench site lists it — and the
-pytest wrapper gates the minimum speedup (the PR floor: a <= 1% delta at
-100k sets must apply at least 10x faster than the rebuild).  Scale knobs
+Writes ``benchmarks/out/BENCH_mutation.json`` and the pytest wrapper
+gates the minimum speedup (a <= 1% delta at 100k sets must apply at least
+10x faster than the rebuild).  Scale knobs
 (environment):
 
 * ``REPRO_MUTATION_BENCH_SETS`` — sets in the collection (default 100000)

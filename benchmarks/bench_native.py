@@ -12,11 +12,10 @@ runtime dispatch is pinned to each tier the build/CPU supports (``scalar``,
 tier first — the A/B evidence that the vector sweeps are both faster and
 bit-identical.  The auto-selected tier is restored afterwards.
 
-Writes ``benchmarks/out/BENCH_native.json`` — CI uploads it with the other
-``BENCH_*.json`` artifacts and the perf trajectory picks up its
-``speedup`` figures — and the pytest wrappers gate the minimum native
-speedup on the full scan plus the minimum SIMD-vs-scalar speedup, each
-skipping when the required extension/tier is unavailable.
+Writes ``benchmarks/out/BENCH_native.json`` and the pytest wrappers gate
+the minimum native speedup on the full scan plus the minimum
+SIMD-vs-scalar speedup, each skipping when the required extension/tier is
+unavailable.
 Scale knobs (environment):
 
 * ``REPRO_NATIVE_BENCH_SESSIONS`` — stacked session masks (default 256)

@@ -12,10 +12,8 @@ Every leg's results are asserted bit-identical to the unsharded kernel
 before anything is timed (parity is the contract, throughput is the
 product).
 
-Writes ``benchmarks/out/BENCH_shards.json`` — CI uploads it with the other
-``BENCH_*.json`` artifacts and the perf trajectory picks up its
-``speedup`` figures — and the pytest wrapper gates the minimum aggregate
-thread-pool speedup, skipping on single-core boxes.  Timing hygiene: every
+Writes ``benchmarks/out/BENCH_shards.json`` and the pytest wrapper gates
+the minimum aggregate thread-pool speedup, skipping on single-core boxes.  Timing hygiene: every
 kernel is warmed up (lazy CSR mirrors, pool spawn) before its first timed
 repetition, and CI pins ``OMP_NUM_THREADS=1`` so NumPy's own thread pool
 cannot fight the shard workers.  Run standalone via

@@ -5,8 +5,9 @@ the rendered ResultTables here; a ``pytest_terminal_summary`` hook prints
 them after the pytest-benchmark timing table, and a copy is written to
 ``benchmarks/out/<name>.txt`` so results survive the terminal.
 
-The shared ``BENCH_SCALE`` keeps the full suite laptop-sized (see
-DESIGN.md Sec. 4 for the scaling policy); run the experiment runners via
+The shared ``BENCH_SCALE`` keeps the full suite laptop-sized: it keeps
+the paper's swept values and their ratios and divides the sizes by 40, so
+trends survive the shrink.  Run the experiment runners via
 ``repro-setdisc experiment <id> --scale paper`` for paper-sized inputs.
 """
 

@@ -24,7 +24,7 @@ Quickstart::
     result = session.run(user)
     assert collection.name_of(result.target) == "S4"
 
-Package map (see DESIGN.md for the full inventory):
+Package map:
 
 * :mod:`repro.core` — collections, bounds, selectors, k-LP, trees,
   discovery sessions, exact optimal search;

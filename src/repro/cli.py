@@ -272,6 +272,7 @@ def _serve_collection(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
+    import socket
 
     from .serve import (
         AsyncDiscoveryService,
@@ -327,7 +328,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             session_ttl_s=args.session_ttl_s,
             admin_token=args.admin_token,
         )
-        uvicorn.run(app, host=args.host, port=args.port, log_level="warning")
+        # Bind here so the readiness line carries the port even for
+        # --port 0; uvicorn then serves on the already-listening socket.
+        sock = socket.create_server((args.host, args.port))
+        print(f"serving on http://{args.host}:{sock.getsockname()[1]}", flush=True)
+        # uvicorn >= 0.29 re-raises a SIGINT/SIGTERM it handled once its
+        # graceful shutdown (the lifespan drain included) is done; this
+        # handler turns that into exit 0, as on the embedded server.
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, lambda *_: sys.exit(0))
+        uvicorn.Server(uvicorn.Config(app, log_level="warning")).run(sockets=[sock])
         return 0
 
     def build_service():

@@ -3,7 +3,7 @@ paper's cleaning pipeline (Sec. 5.2.1).
 
 The paper's real dataset — 1.4M column sets extracted from a 2014 Wikipedia
 snapshot — is not redistributable here, so this module supplies the closest
-synthetic equivalent (see DESIGN.md, *Substitutions*):
+synthetic equivalent:
 
 * **Generator** (:func:`generate_webtable_sets`): entities are grouped into
   latent *semantic domains* ("NBA players", "cities", ...) with Zipfian

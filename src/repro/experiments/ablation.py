@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the implementation's design choices.
 
 Not in the paper, but the natural follow-up questions a reader asks:
 

@@ -21,9 +21,9 @@ class Scale:
     """Experiment scale: divides the paper's workload sizes.
 
     ``divisor=1`` is the paper-scale run; the ``small`` default keeps every
-    sweep's *shape* while staying laptop-friendly in pure Python (see
-    DESIGN.md Sec. 4 for the policy and EXPERIMENTS.md for what each scale
-    actually ran).
+    sweep's *shape* while staying laptop-friendly in pure Python.  The
+    policy: keep the paper's swept values and their ratios, and divide the
+    sizes by ``divisor``, so trends and crossovers survive the shrink.
     """
 
     name: str

@@ -1,9 +1,9 @@
 """Workload builders shared by the experiment runners.
 
 Each builder maps a :class:`~repro.experiments.common.Scale` to concrete
-dataset parameters.  The guiding rule (DESIGN.md Sec. 4): keep the paper's
-parameter *shape* (the swept values, their ratios) and divide sizes by the
-scale divisor, so trends and crossovers are preserved at laptop cost.
+dataset parameters.  The guiding rule: keep the paper's parameter *shape*
+(the swept values, their ratios) and divide sizes by the scale divisor, so
+trends and crossovers are preserved at laptop cost.
 """
 
 from __future__ import annotations

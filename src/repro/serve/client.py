@@ -1,9 +1,10 @@
 """Minimal asyncio client for the HTTP/WebSocket serving edge.
 
-The load benchmark (``benchmarks/bench_http.py``) drives thousands of
-concurrent sessions against a real server process; a third-party HTTP
-client would be a new dependency and a synchronous one would serialize
-the load.  This module is the smallest useful client instead: one
+The soak harness (``repro.soak``) and the edge workloads of the
+benchmark (``perfbench/edge.py``) drive concurrent sessions against a
+real server process; a third-party HTTP client would be a new
+dependency and a synchronous one would serialize the load.  This module
+is the smallest useful client instead: one
 keep-alive HTTP/1.1 connection per :class:`HttpSessionClient`, one
 websocket per :class:`WsSessionClient`, JSON verbs matching the routes of
 :class:`~repro.serve.http.DiscoveryApp`.  The tests reuse it, and it

@@ -95,8 +95,15 @@ __all__ = [
 ]
 
 #: request bodies past this size are rejected with 413 (no legitimate
-#: create/answer payload comes close; a cap keeps the edge bounded)
+#: create/answer payload comes close; a cap keeps the edge bounded), and
+#: websocket frames past it are closed with 1009 before being read
 MAX_BODY_BYTES = 1 << 20
+
+#: the embedded server answers 431 past either header cap; a single line
+#: is further bounded by the stream limit (64 KiB), beyond which the
+#: request line gets 400 and a header line 431
+MAX_HEADER_LINES = 100
+MAX_HEADER_BYTES = 32 * 1024
 
 _PHRASES = {
     200: "OK",
@@ -109,6 +116,8 @@ _PHRASES = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -1036,10 +1045,18 @@ def encode_ws_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
     return bytes(head) + payload
 
 
+class _FrameTooLarge(ValueError):
+    """A websocket frame announced a payload past ``MAX_BODY_BYTES``."""
+
+
 async def read_ws_frame(
     reader: asyncio.StreamReader,
 ) -> "tuple[int, bytes] | None":
-    """Read one frame; ``None`` on EOF.  Assumes unfragmented frames."""
+    """Read one frame; ``None`` on EOF.  Assumes unfragmented frames.
+
+    Raises :class:`_FrameTooLarge` before reading a payload longer than
+    ``MAX_BODY_BYTES``.
+    """
     try:
         head = await reader.readexactly(2)
     except (asyncio.IncompleteReadError, ConnectionError):
@@ -1051,6 +1068,8 @@ async def read_ws_frame(
         length = int.from_bytes(await reader.readexactly(2), "big")
     elif length == 127:
         length = int.from_bytes(await reader.readexactly(8), "big")
+    if length > MAX_BODY_BYTES:
+        raise _FrameTooLarge(length)
     key = await reader.readexactly(4) if masked else None
     payload = await reader.readexactly(length) if length else b""
     if key:
@@ -1082,7 +1101,11 @@ class _Request:
 
 
 class _BadRequest(Exception):
-    pass
+    """The request cannot be framed; answered with ``status`` and closed."""
+
+    def __init__(self, status: int = 400) -> None:
+        super().__init__(status)
+        self.status = status
 
 
 class EmbeddedServer:
@@ -1144,10 +1167,10 @@ class EmbeddedServer:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _BadRequest:
+                except _BadRequest as exc:
                     writer.write(
-                        b"HTTP/1.1 400 Bad Request\r\n"
-                        b"content-length: 0\r\nconnection: close\r\n\r\n"
+                        f"HTTP/1.1 {exc.status} {_PHRASES[exc.status]}\r\n".encode()
+                        + b"content-length: 0\r\nconnection: close\r\n\r\n"
                     )
                     await writer.drain()
                     break
@@ -1170,7 +1193,11 @@ class EmbeddedServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "_Request | None":
-        request_line = await reader.readline()
+        # readline() raises ValueError once a line outgrows the stream limit
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            raise _BadRequest from None
         if not request_line:
             return None
         try:
@@ -1180,21 +1207,35 @@ class EmbeddedServer:
         except ValueError:
             raise _BadRequest from None
         headers: list[tuple[bytes, bytes]] = []
+        header_bytes = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _BadRequest(431) from None
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_bytes += len(line)
+            if len(headers) == MAX_HEADER_LINES or header_bytes > MAX_HEADER_BYTES:
+                raise _BadRequest(431)
             name, _, value = line.partition(b":")
             headers.append((name.strip().lower(), value.strip()))
-        length_raw = next(
-            (v for k, v in headers if k == b"content-length"), b"0"
-        )
-        try:
-            length = int(length_raw)
-        except ValueError:
-            raise _BadRequest from None
-        if length > MAX_BODY_BYTES:
+        length_raw = None
+        for name, value in headers:
+            if name == b"transfer-encoding":  # chunked bodies are not framed
+                raise _BadRequest(501)
+            if name == b"content-length":
+                if length_raw not in (None, value):
+                    raise _BadRequest
+                length_raw = value
+        if length_raw is None:
+            length_raw = b"0"
+        # RFC 9110 §8.6: digits only, so no sign, no blanks, no empty value
+        if not length_raw.isdigit():
             raise _BadRequest
+        length = int(length_raw)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(413)
         body = await reader.readexactly(length) if length else b""
         return _Request(
             method=method,
@@ -1295,12 +1336,19 @@ class EmbeddedServer:
         closed = False
 
         async def receive() -> dict:
-            nonlocal connected
+            nonlocal connected, closed
             if not connected:
                 connected = True
                 return {"type": "websocket.connect"}
             while True:
-                frame = await read_ws_frame(reader)
+                try:
+                    frame = await read_ws_frame(reader)
+                except _FrameTooLarge:
+                    if not closed:
+                        closed = True
+                        writer.write(encode_ws_frame(0x8, (1009).to_bytes(2, "big")))
+                        await writer.drain()
+                    return {"type": "websocket.disconnect", "code": 1009}
                 if frame is None:
                     return {"type": "websocket.disconnect", "code": 1006}
                 opcode, payload = frame

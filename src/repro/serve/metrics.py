@@ -8,7 +8,8 @@ an ``EngineStats`` without touching the scheduler's hot path — the only
 per-request cost is one :meth:`observe_ask` append into a bounded
 reservoir.
 
-The figures exported (and gated in CI via ``benchmarks/bench_http.py``):
+The figures exported (pinned by ``tests/test_http.py``; the soak harness
+checks the counters against its own ground truth):
 
 * **ask latency p50/p95/p99** — time from ``ask()`` to question delivery,
   over a sliding window of recent observations (count and sum are

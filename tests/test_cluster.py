@@ -24,12 +24,14 @@ tests, mirroring ``tests/test_http.py``.
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import asynccontextmanager
 from pathlib import Path
@@ -364,18 +366,34 @@ class TestClusterMetrics:
 
 
 # --------------------------------------------------------------------- #
-# --workers 0 stays byte-identical to the PR 6 wire goldens
+# Every served topology answers the wire goldens and drains cleanly
 # --------------------------------------------------------------------- #
 
 
 _READY = re.compile(r"^serving on http://([\d.]+):(\d+)$")
 
 
-class TestWorkersZeroGolden:
+class TestServedEdgeGolden:
     TARGETS = [0, 7, 19, 33, 41, 52]
 
-    def test_cli_workers_zero_wire_transcripts_unchanged(self):
-        """``--workers 0`` must serve the exact PR 6 in-process edge."""
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            pytest.param(["--workers", "0"], id="workers0"),
+            pytest.param(["--workers", "2"], id="workers2"),
+            pytest.param(
+                ["--uvicorn"],
+                id="uvicorn",
+                marks=pytest.mark.skipif(
+                    importlib.util.find_spec("uvicorn") is None,
+                    reason="uvicorn is not installed (the http extra)",
+                ),
+            ),
+        ],
+    )
+    def test_cli_wire_transcripts_and_sigterm_drain(self, topology):
+        """A ``repro serve`` child answers the sequential goldens over HTTP
+        long-poll, then drains on SIGTERM and exits 0."""
         collection = make_collection()
         golden = sequential_golden(collection, self.TARGETS)
         src = Path(__file__).resolve().parent.parent / "src"
@@ -391,8 +409,7 @@ class TestWorkersZeroGolden:
                 "serve",
                 "--port",
                 "0",
-                "--workers",
-                "0",
+                *topology,
                 "--backend",
                 "bigint",
                 "--n-sets",
@@ -411,16 +428,16 @@ class TestWorkersZeroGolden:
             text=True,
             env=env,
         )
+        # readline() cannot time out: a child that never prints its
+        # readiness line is killed instead of hanging the suite.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
         try:
             assert proc.stdout is not None
-            deadline = time.monotonic() + 60
-            while True:
-                assert time.monotonic() < deadline, "no readiness line"
-                line = proc.stdout.readline()
-                assert line or proc.poll() is None, "server exited early"
-                if match := _READY.match(line.strip()):
-                    host, port = match.group(1), int(match.group(2))
-                    break
+            while not (match := _READY.match(proc.stdout.readline().strip())):
+                assert proc.poll() is None, "server exited before it was ready"
+            watchdog.cancel()
+            host, port = match.group(1), int(match.group(2))
 
             async def over_wire():
                 async def one(target):
@@ -436,13 +453,14 @@ class TestWorkersZeroGolden:
             payloads = run(over_wire())
             assert serialize_payloads(payloads) == golden
         finally:
+            watchdog.cancel()
             proc.send_signal(signal.SIGTERM)
             try:
-                proc.communicate(timeout=30)
+                output, _ = proc.communicate(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
-                proc.communicate()
-        assert proc.returncode == 0
+                output, _ = proc.communicate()
+        assert proc.returncode == 0, output
 
 
 # --------------------------------------------------------------------- #

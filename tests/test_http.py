@@ -7,7 +7,8 @@ Three contracts hold the edge to the rest of the stack:
   (the same golden serialization the engine tests use);
 * **validation** — malformed requests get clear 4xx JSON errors, never
   hangs or 500s: missing/wrong bearer tokens, unknown sessions and
-  routes, wrong methods, bad JSON, double answers;
+  routes, wrong methods, bad JSON, double answers; a request the
+  embedded server cannot frame gets a bare status line and a close;
 * **drain** — a draining server rejects new sessions with 503, lets
   in-flight sessions finish, and rejects waiters stranded by ``aclose``
   with 503 too (the HTTP mirror of ``ServiceClosed``).
@@ -46,7 +47,13 @@ from repro.serve.client import (
     ServerBusy,
     WsSessionClient,
 )
-from repro.serve.http import websocket_accept_key
+from repro.serve.http import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    MAX_HEADER_LINES,
+    read_ws_frame,
+    websocket_accept_key,
+)
 from repro.serve.metrics import quantile_sorted
 
 
@@ -419,6 +426,127 @@ class TestValidation:
             websocket_accept_key("dGhlIHNhbXBsZSBub25jZQ==")
             == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
         )
+
+
+# --------------------------------------------------------------------- #
+# Request framing: strict and bounded before the app sees anything
+# --------------------------------------------------------------------- #
+
+
+async def raw_exchange(request: bytes) -> bytes:
+    """Send raw bytes to a fresh embedded server; return its first line."""
+    async with serve(make_collection(n_sets=40)) as (_, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(request)
+        try:
+            return await reader.readline()
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+
+def post_sessions(*headers: bytes, body: bytes = b"{}") -> bytes:
+    head = b"".join(h + b"\r\n" for h in headers)
+    return b"POST /sessions HTTP/1.1\r\nhost: x\r\n" + head + b"\r\n" + body
+
+
+def get_healthz(*headers: bytes) -> bytes:
+    head = b"".join(h + b"\r\n" for h in headers)
+    return b"GET /healthz HTTP/1.1\r\nhost: x\r\n" + head + b"\r\n"
+
+
+#: (case, raw request, status).  Past each cap the server answers and
+#: closes; at the header-line cap it still serves the request.
+FRAMING_CASES = [
+    ("negative-content-length", post_sessions(b"content-length: -1"), 400),
+    ("signed-content-length", post_sessions(b"content-length: +2"), 400),
+    (
+        "conflicting-content-lengths",
+        post_sessions(b"content-length: 2", b"content-length: 3"),
+        400,
+    ),
+    (
+        "body-past-cap",
+        post_sessions(b"content-length: %d" % (MAX_BODY_BYTES + 1), body=b""),
+        413,
+    ),
+    (
+        "request-line-past-stream-limit",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        400,
+    ),
+    (
+        "header-line-past-stream-limit",
+        get_healthz(b"x-big: " + b"a" * 70_000),
+        431,
+    ),
+    (
+        "header-lines-at-cap",  # host plus MAX_HEADER_LINES - 1 more
+        get_healthz(*(b"x-h%d: v" % i for i in range(MAX_HEADER_LINES - 1))),
+        200,
+    ),
+    (
+        "header-lines-past-cap",
+        get_healthz(*(b"x-h%d: v" % i for i in range(MAX_HEADER_LINES))),
+        431,
+    ),
+    (
+        "header-bytes-past-cap",  # each line far inside the stream limit
+        get_healthz(
+            *(
+                b"x-h%03d: " % i + b"a" * 1000
+                for i in range(MAX_HEADER_BYTES // 1000 + 1)
+            )
+        ),
+        431,
+    ),
+    (
+        "transfer-encoding",
+        post_sessions(b"transfer-encoding: chunked", body=b"2\r\n{}\r\n0\r\n\r\n"),
+        501,
+    ),
+]
+
+
+class TestRequestFraming:
+    """A request the embedded server cannot frame gets a status line,
+    never a dropped connection, an unhandled loop error or unbounded
+    buffering."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [pytest.param(r, st, id=case) for case, r, st in FRAMING_CASES],
+    )
+    def test_status_line(self, request_bytes, status):
+        status_line = run(raw_exchange(request_bytes))
+        assert status_line.startswith(b"HTTP/1.1 %d " % status)
+
+    def test_websocket_frame_past_the_cap_closes_1009(self):
+        async def scenario():
+            async with serve(make_collection(n_sets=40)) as (_, host, port):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    b"GET /ws HTTP/1.1\r\nhost: x\r\nupgrade: websocket\r\n"
+                    b"connection: Upgrade\r\nsec-websocket-version: 13\r\n"
+                    b"sec-websocket-key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n"
+                )
+                assert b" 101 " in await reader.readline()
+                await reader.readuntil(b"\r\n\r\n")
+                # Only the head of a masked text frame one byte past the
+                # cap: the close must come before any payload is sent.
+                writer.write(
+                    bytes([0x81, 0x80 | 127])
+                    + (MAX_BODY_BYTES + 1).to_bytes(8, "big")
+                )
+                frame = await asyncio.wait_for(read_ws_frame(reader), 5)
+                writer.close()
+                await writer.wait_closed()
+                return frame
+
+        assert run(scenario()) == (0x8, (1009).to_bytes(2, "big"))
 
 
 # --------------------------------------------------------------------- #
