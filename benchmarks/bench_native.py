@@ -1,10 +1,13 @@
 """Native-kernel benchmark: fused C popcount sweeps vs the numpy pipeline.
 
-Times the full-scale informative scan — the single full-entity root scan
-and one engine tick's worth of stacked session masks — through the numpy
-backend and through the native C extension over the same packed
-bit-matrix.  Parity is asserted on every result before anything is timed
-(the warm-up doubles as the proof), mirroring ``bench_shards.py``.
+Times the full-scale informative scan — the single full-entity root scan,
+one engine tick's worth of stacked wide session masks, and a tick of deep
+ones — through the numpy backend and through the native C extension over
+the same packed bit-matrix.  Wide masks exercise the fused C row sweep,
+deep (membership-bound) masks the set-major gather over the CSR mirror:
+numpy's vectorized gather against native's C pass.  Parity is asserted on
+every result before anything is timed (the warm-up doubles as the proof),
+mirroring ``bench_shards.py``.
 
 The native kernel is additionally timed **per SIMD tier**: the extension's
 runtime dispatch is pinned to each tier the build/CPU supports (``scalar``,
@@ -82,10 +85,8 @@ def _build_collections(cfg: dict) -> tuple[SetCollection, SetCollection]:
 def _session_masks(collection: SetCollection, cfg: dict) -> list[int]:
     """Wide session masks: the root narrowed by at most one answer.
 
-    Deep (membership-bound) masks route to the set-major CSR gather on
-    *both* backends — identical code, no native speedup to measure — so
-    this bench keeps every mask width-bound, where the fused C sweep is
-    the path under test.
+    Width-bound, so both backends answer them with a row pass: the fused
+    C sweep is the path under test.
     """
     rng = random.Random(13)
     eids = list(collection.entity_ids())
@@ -98,6 +99,30 @@ def _session_masks(collection: SetCollection, cfg: dict) -> list[int]:
             if popcount(narrowed) >= 2:
                 mask = narrowed
         masks.append(mask)
+    return masks
+
+
+def _deep_masks(collection: SetCollection, kernels, cfg: dict) -> list[int]:
+    """Deep session masks: the root narrowed by several answers.
+
+    Only masks the cost model sends to the set-major gather on every one
+    of ``kernels`` are kept, so this leg times the gathers against each
+    other.
+    """
+    n_entities = collection.n_entities
+    rng = random.Random(17)
+    eids = list(collection.entity_ids())
+    masks = []
+    while len(masks) < cfg["n_sessions"]:
+        mask = collection.full_mask
+        for _ in range(8):
+            em = collection.entity_mask(rng.choice(eids))
+            narrowed = mask & em if rng.random() < 0.5 else mask & ~em
+            if popcount(narrowed) >= 2:
+                mask = narrowed
+        n = popcount(mask)
+        if all(k._set_major_wins(n, n_entities) for k in kernels):
+            masks.append(mask)
     return masks
 
 
@@ -123,6 +148,8 @@ def run_native_comparison(out_path: Path = _OUT_PATH) -> dict:
         "numpy": numpy_coll.kernel,
         "native": native_coll.kernel,
     }
+    deep = _deep_masks(numpy_coll, kernels.values(), cfg)
+    deep_ns = [popcount(m) for m in deep]
 
     # Warm-up before any timing (lazy CSR mirror builds, page-in of both
     # matrices) — and prove parity on exactly the scans timed below.
@@ -134,9 +161,17 @@ def run_native_comparison(out_path: Path = _OUT_PATH) -> dict:
         kernels["numpy"].scan_informative_many(masks, ns),
         kernels["native"].scan_informative_many(masks, ns),
     )
+    _assert_parity(
+        kernels["numpy"].scan_informative_many(deep, deep_ns),
+        kernels["native"].scan_informative_many(deep, deep_ns),
+    )
 
     best = {
-        name: {"scan_s": float("inf"), "stacked_s": float("inf")}
+        name: {
+            "scan_s": float("inf"),
+            "stacked_s": float("inf"),
+            "deep_s": float("inf"),
+        }
         for name in kernels
     }
     for _ in range(cfg["repeat"]):
@@ -150,6 +185,11 @@ def run_native_comparison(out_path: Path = _OUT_PATH) -> dict:
             kernel.scan_informative_many(masks, ns)
             best[name]["stacked_s"] = min(
                 best[name]["stacked_s"], time.perf_counter() - start
+            )
+            start = time.perf_counter()
+            kernel.scan_informative_many(deep, deep_ns)
+            best[name]["deep_s"] = min(
+                best[name]["deep_s"], time.perf_counter() - start
             )
 
     # Per-SIMD-tier A/B on the fused C sweep itself.  The working set is
@@ -208,7 +248,7 @@ def run_native_comparison(out_path: Path = _OUT_PATH) -> dict:
 
     speedup = {
         metric: best["numpy"][metric] / max(best["native"][metric], 1e-12)
-        for metric in ("scan_s", "stacked_s")
+        for metric in ("scan_s", "stacked_s", "deep_s")
     }
     # Vector tier vs pinned scalar, on the same C code path: isolates the
     # SIMD win from the C-vs-numpy win above.

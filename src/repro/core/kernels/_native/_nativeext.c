@@ -9,7 +9,9 @@
  * temporary, bitwise_count materialising another, then a sum reduction)
  * with single fused C passes that allocate nothing and release the GIL —
  * which is what lets the sharded kernel's Python thread pool scale on
- * columns.
+ * columns.  For small sub-collections it also replaces numpy's set-major
+ * gather (unpack, repeat, fancy-index, bincount) with one pass over the
+ * CSR mirror's member rows (counts_by_members).
  *
  * The dense word sweeps are runtime-dispatched across up to three SIMD
  * tiers (scalar popcnt, AVX2 vpshufb-lookup, AVX-512 vpopcntq) compiled
@@ -56,6 +58,23 @@ popcount64_soft(uint64_t x)
     return (int64_t)((x * 0x0101010101010101ULL) >> 56);
 }
 #define POPCOUNT64(x) popcount64_soft(x)
+#endif
+
+/* Index of the lowest set bit of a nonzero word. */
+#if defined(__GNUC__) || defined(__clang__)
+#define CTZ64(x) ((Py_ssize_t)__builtin_ctzll(x))
+#else
+static inline Py_ssize_t
+ctz64_soft(uint64_t x)
+{
+    Py_ssize_t n = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        n++;
+    }
+    return n;
+}
+#define CTZ64(x) ctz64_soft(x)
 #endif
 
 /* ------------------------------------------------------------------ */
@@ -360,6 +379,50 @@ scan_many(const repro_simd_ops *ops, const uint64_t *matrix,
         ip[s + 1] = total;
     }
     return total;
+}
+
+/* Set-major gather: out[r] = how many selected sets list row r among
+ * their members.  The selected sets are the mask bits below n_sets; set
+ * s's member rows are flat[indptr[s]:indptr[s+1]].  Every indptr pair and
+ * row index is checked before it is used; a bad one stops the pass and
+ * reports where (GATHER_BAD_*, *bad_at). */
+#define GATHER_OK 0
+#define GATHER_BAD_INDPTR 1
+#define GATHER_BAD_ROW 2
+
+static int
+gather_members(const uint64_t *mask, Py_ssize_t n_words,
+               const int64_t *indptr, Py_ssize_t n_sets, const int64_t *flat,
+               Py_ssize_t n_flat, int64_t *out, Py_ssize_t n_rows,
+               Py_ssize_t *bad_at)
+{
+    if (n_rows > 0) {
+        memset(out, 0, sizeof(int64_t) * (size_t)n_rows);
+    }
+    for (Py_ssize_t w = 0; w < n_words; w++) {
+        uint64_t bits = mask[w];
+        while (bits) {
+            Py_ssize_t s = w * 64 + CTZ64(bits);
+            bits &= bits - 1;
+            if (s >= n_sets) {
+                return GATHER_OK; /* bits past the last set select nothing */
+            }
+            int64_t lo = indptr[s], hi = indptr[s + 1];
+            if (lo < 0 || hi < lo || hi > (int64_t)n_flat) {
+                *bad_at = s;
+                return GATHER_BAD_INDPTR;
+            }
+            for (int64_t k = lo; k < hi; k++) {
+                int64_t r = flat[k];
+                if (r < 0 || r >= (int64_t)n_rows) {
+                    *bad_at = (Py_ssize_t)k;
+                    return GATHER_BAD_ROW;
+                }
+                out[r]++;
+            }
+        }
+    }
+    return GATHER_OK;
 }
 
 /* ------------------------------------------------------------------ */
@@ -774,6 +837,89 @@ err_matrix:
     return NULL;
 }
 
+PyDoc_STRVAR(
+    counts_by_members_doc,
+    "counts_by_members(mask_words, indptr, flat_rows, out)\n--\n\n"
+    "Set-major gather over the CSR mirror of the index: out[r] = number\n"
+    "of sets selected by mask_words whose member rows\n"
+    "(flat_rows[indptr[s]:indptr[s+1]]) include r.  indptr has n_sets + 1\n"
+    "entries, mask_words ceil(n_sets / 64) words (at least one); bits at\n"
+    "or above n_sets select nothing.  An indptr pair that decreases or\n"
+    "leaves flat_rows, or a row outside [0, len(out)), raises ValueError.\n"
+    "Releases the GIL; uses no state beyond its arguments.");
+
+static PyObject *
+counts_by_members(PyObject *self, PyObject *args)
+{
+    PyObject *mask_o, *indptr_o, *flat_o, *out_o;
+    if (!PyArg_ParseTuple(args, "OOOO", &mask_o, &indptr_o, &flat_o,
+                          &out_o)) {
+        return NULL;
+    }
+    Py_buffer mask, indptr, flat, out;
+    Py_ssize_t n_mask, n_indptr, n_flat, n_out;
+    if (get_words(mask_o, &mask, 0, "mask_words", &n_mask) != 0) {
+        return NULL;
+    }
+    if (get_words(indptr_o, &indptr, 0, "indptr", &n_indptr) != 0) {
+        goto err_mask;
+    }
+    if (get_words(flat_o, &flat, 0, "flat_rows", &n_flat) != 0) {
+        goto err_indptr;
+    }
+    if (get_words(out_o, &out, 1, "out", &n_out) != 0) {
+        goto err_flat;
+    }
+    if (n_indptr < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indptr needs n_sets + 1 >= 1 items");
+        goto err_out;
+    }
+    {
+        Py_ssize_t n_sets = n_indptr - 1;
+        Py_ssize_t n_words = n_sets > 0 ? (n_sets + 63) / 64 : 1;
+        if (check_len(n_mask, n_words, "mask_words") != 0) {
+            goto err_out;
+        }
+        Py_ssize_t bad_at = 0;
+        int status;
+        Py_BEGIN_ALLOW_THREADS;
+        status = gather_members(mask.buf, n_words, indptr.buf, n_sets,
+                                flat.buf, n_flat, out.buf, n_out, &bad_at);
+        Py_END_ALLOW_THREADS;
+        if (status == GATHER_BAD_INDPTR) {
+            PyErr_Format(PyExc_ValueError,
+                         "indptr[%zd:%zd] decreases or leaves flat_rows "
+                         "(%zd items)",
+                         bad_at, bad_at + 2, n_flat);
+            goto err_out;
+        }
+        if (status == GATHER_BAD_ROW) {
+            const int64_t *rows = flat.buf;
+            PyErr_Format(PyExc_ValueError,
+                         "flat_rows[%zd] = %lld is not a row of out "
+                         "(%zd rows)",
+                         bad_at, (long long)rows[bad_at], n_out);
+            goto err_out;
+        }
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&flat);
+    PyBuffer_Release(&indptr);
+    PyBuffer_Release(&mask);
+    Py_RETURN_NONE;
+
+err_out:
+    PyBuffer_Release(&out);
+err_flat:
+    PyBuffer_Release(&flat);
+err_indptr:
+    PyBuffer_Release(&indptr);
+err_mask:
+    PyBuffer_Release(&mask);
+    return NULL;
+}
+
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef native_methods[] = {
@@ -785,6 +931,8 @@ static PyMethodDef native_methods[] = {
     {"scan_informative_many", scan_informative_many, METH_VARARGS,
      scan_informative_many_doc},
     {"and_rows", and_rows, METH_VARARGS, and_rows_doc},
+    {"counts_by_members", counts_by_members, METH_VARARGS,
+     counts_by_members_doc},
     {"simd_level", simd_level_fn, METH_NOARGS, simd_level_doc},
     {"available_simd_levels", available_simd_levels_fn, METH_NOARGS,
      available_simd_levels_doc},

@@ -2,12 +2,13 @@
 
 :class:`NativeKernel` keeps everything about the numpy backend — the packed
 ``uint64`` bit-matrix, the set-major CSR mirror, the per-mask routing — and
-replaces only the row-pass hot loops with the compiled primitives of
+replaces the hot loops with the compiled primitives of
 :mod:`repro.core.kernels._native`: one fused AND+popcount+filter sweep per
-call instead of numpy's three-ufunc pipeline with its two temporaries.  The
-C passes release the GIL, so a :class:`~repro.core.kernels.sharded.ShardedKernel`
-with native sub-kernels genuinely runs its column shards in parallel on a
-thread pool.
+call instead of numpy's three-ufunc pipeline with its two temporaries, and
+one pass over the CSR mirror's member rows instead of numpy's set-major
+gather.  The C passes release the GIL, so a
+:class:`~repro.core.kernels.sharded.ShardedKernel` with native sub-kernels
+genuinely runs its column shards in parallel on a thread pool.
 
 The backend is gated exactly like numpy: ``SetCollection(backend="native")``
 or ``REPRO_BACKEND=native`` requests it explicitly, ``auto`` prefers it
@@ -32,7 +33,7 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     np = None  # type: ignore[assignment]
 
 #: The native backend needs both the compiled extension (the C loops) and
-#: numpy (the matrix container and the CSR gather path it inherits).
+#: numpy (the matrix and CSR mirror containers).
 HAS_NATIVE = HAS_NATIVE_EXT and HAS_NUMPY
 
 
@@ -71,6 +72,22 @@ class NativeKernel(NumpyKernel):
     # ------------------------------------------------------------------ #
     # EntityStatsKernel API (row passes replaced by C)
     # ------------------------------------------------------------------ #
+
+    def _counts_by_members(
+        self, mask: int, words_row: "np.ndarray"
+    ) -> "np.ndarray":
+        """Per-entity positive counts of ``mask`` via the set-major gather.
+
+        One GIL-releasing C pass over the selected sets' member rows of the
+        CSR mirror; the single-mask scan, the stacked scan and the sharded
+        per-shard route all reach it through this method.
+        """
+        self._ensure_set_rows()
+        out = np.empty(len(self._row_eids), dtype=np.int64)
+        _ext.counts_by_members(
+            words_row, self._set_indptr, self._set_flat_rows, out
+        )
+        return out
 
     def positive_counts(self, mask: int, eids: Iterable[int]) -> "np.ndarray":
         idx, _known = self._rows_for(eids)

@@ -1,20 +1,32 @@
 """Batched scoring of entity split statistics, backend-agnostic.
 
-Selectors rank informative entities by a key of the shape
-``(primary score, unevenness, entity id)`` where the primary score depends
-only on ``(n, n1)`` — information gain (Eq. 9), indistinguishable pairs
-(Eq. 10), the 1-step bounds ``LB1`` (Eqs. 3-5) — and ``n`` is fixed within
-one selection.  That structure makes the batched evaluation exact rather
-than merely close: ``n1`` takes at most ``n - 1`` distinct values, so the
-primary score is computed once per *distinct count* with the very same
-scalar Python function the reference path uses, then gathered.  Both
-backends therefore rank by bit-identical floats, and cross-backend parity
-of selections (including ties) holds by construction.
+Every batch-scored selector ranks informative entities by one exact
+integer key, ``(|2*n1 - n|, entity id)``: the most even split first, ties
+to the smallest id.  By Lemma 4.3 this is also the ranking of information
+gain (Eq. 9), indistinguishable pairs (Eq. 10) and the height bound
+``LB1[H]`` (Eq. 4), because each is a monotone function of the unevenness
+``d = |2*n1 - n|`` alone:
 
-When the statistics arrive as NumPy arrays (the numpy backend), ranking is
-a table gather plus one ``lexsort``; for plain lists (the big-int backend)
-the equivalent Python loop runs.  Either way the entity returned is the
-minimum under the exact lexicographic key.
+* Eq. 10 is ``(n**2 + d**2)/4 - n/2`` in exact integers;
+* ``LB1[H]`` is ``ceil(log2((n + d)/2)) + 1``, weakly increasing in ``d``;
+* Eq. 9's float gain is strictly decreasing in ``d`` and bitwise
+  symmetric in ``n1 <-> n - n1`` (``tests/test_scoring_keys.py`` checks
+  every ``n <= 3000`` and every ``n1`` of sampled ``n`` up to 100,000
+  against the scalar reference).
+
+The float rankings these selectors once used, ``(score, d, eid)``, broke
+every float tie by ``d``, so only a strict inversion could separate them
+from the integer key, and there is none.  The average-depth bound
+``LB1[AD]`` (Eq. 3) is the exception: Eq. 1's ceiling makes it
+non-monotone in ``d`` from ``n = 35`` on (``lb1(16, 19) < lb1(17, 18)``),
+so :func:`select_best` keeps a float ``primary`` for it alone and the
+serving scheduler never batch-scores it.
+
+On NumPy arrays (numpy/native backends) ranking is a handful of
+vectorized passes; on plain lists (the big-int backend) the equivalent
+Python loop runs.  Either way the entity returned is the minimum under the
+exact lexicographic key, so cross-backend parity of selections (ties
+included) holds by construction.
 """
 
 from __future__ import annotations
@@ -29,19 +41,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 def _is_array(values: object) -> bool:
     return np is not None and isinstance(values, np.ndarray)
-
-
-def _score_table(
-    counts: "np.ndarray", n: int, primary: Callable[[int, int], float]
-) -> "np.ndarray":
-    """Primary scores gathered from one exact evaluation per distinct count."""
-    unique, inverse = np.unique(counts, return_inverse=True)
-    table = np.fromiter(
-        (primary(n, int(c)) for c in unique),
-        dtype=np.float64,
-        count=len(unique),
-    )
-    return table[inverse]
 
 
 def filter_excluded(
@@ -66,55 +65,48 @@ def select_best(
     n: int,
     primary: Callable[[int, int], float] | None = None,
 ) -> int:
-    """Entity minimising ``(primary(n, n1), |2*n1 - n|, eid)``.
+    """Entity minimising the most-even key ``(|2*n1 - n|, eid)``.
 
-    ``primary=None`` means rank purely by the most-even-split tie-break
-    (the MostEven selector).  ``eids`` must be non-empty.
+    ``primary`` prepends a float score, ranking by ``(primary(n, n1),
+    |2*n1 - n|, eid)``; only ``LB1[AD]``, whose bound is not monotone in
+    the split's evenness, needs it.  ``eids`` must be non-empty.
     """
     if _is_array(eids):
         counts = counts.astype(np.int64, copy=False)
         unevenness = np.abs(2 * counts - n)
         if primary is None:
-            order = np.lexsort((eids, unevenness))
-        else:
-            order = np.lexsort(
-                (eids, unevenness, _score_table(counts, n, primary))
-            )
-        return int(eids[order[0]])
-    best = None
-    best_key = None
-    for eid, cnt in zip(eids, counts):
-        eid, cnt = int(eid), int(cnt)
-        score = 0.0 if primary is None else primary(n, cnt)
-        key = (score, abs(2 * cnt - n), eid)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = eid
-    assert best is not None, "select_best requires at least one entity"
-    return best
+            return int(eids[unevenness == unevenness.min()].min())
+        # One exact scalar evaluation per distinct count, then gathered.
+        unique, inverse = np.unique(counts, return_inverse=True)
+        scores = np.array([primary(n, int(c)) for c in unique])[inverse]
+        return int(eids[np.lexsort((eids, unevenness, scores))[0]])
+    pairs = [(int(e), int(c)) for e, c in zip(eids, counts)]
+    assert pairs, "select_best requires at least one entity"
+    if primary is None:
+        key = lambda ec: (abs(2 * ec[1] - n), ec[0])  # noqa: E731
+    else:
+        key = lambda ec: (primary(n, ec[1]), abs(2 * ec[1] - n), ec[0])  # noqa: E731
+    return min(pairs, key=key)[0]
 
 
 def select_best_many(
     eids_list: "Sequence[Sequence[int]]",
     counts_list: "Sequence[Sequence[int]]",
     ns: Sequence[int],
-    primary: Callable[[int, int], float] | None = None,
 ) -> list[int]:
-    """Batched :func:`select_best` over many stats groups at once.
+    """:func:`select_best` with the most-even key over many groups at once.
 
     Each group ``i`` is ``(eids_list[i], counts_list[i], ns[i])`` and every
-    group must be non-empty.  The result is *exactly* ``[select_best(e, c,
-    n, primary) for ...]``: the primary score is still computed by the same
-    scalar function, once per distinct ``(n, n1)`` pair across all groups,
-    so the lexicographic minima are bit-identical to the per-group path.
-    The multi-session engine uses this to rank the selections of many
-    concurrent sessions with one ``lexsort`` instead of one per session.
+    group must be non-empty.  The result is exactly ``[select_best(e, c,
+    n) for ...]``, computed as two segmented integer minima over the
+    concatenated groups: the serving scheduler ranks the selections of
+    every session of a flush in one pass.
     """
     if not eids_list:
         return []
     if np is None or not all(_is_array(e) for e in eids_list):
         return [
-            select_best(e, c, int(n), primary)
+            select_best(e, c, int(n))
             for e, c, n in zip(eids_list, counts_list, ns)
         ]
     lengths = np.fromiter(
@@ -125,32 +117,11 @@ def select_best_many(
     seg = np.repeat(np.arange(len(eids_list), dtype=np.int64), lengths)
     eids = np.concatenate(eids_list)
     counts = np.concatenate(counts_list).astype(np.int64, copy=False)
-    n_arr = np.repeat(np.asarray(ns, dtype=np.int64), lengths)
-    unevenness = np.abs(2 * counts - n_arr)
-    # Lexicographic minimum per group without sorting: narrow the rows in
-    # the running for each group key after key with segmented minima.
-    in_running = None
-    if primary is not None:
-        # One exact scalar evaluation per distinct (n, n1) pair, shared by
-        # every group — the same floats select_best's per-group table holds.
-        base = int(n_arr.max()) + 1
-        packed = n_arr * base + counts
-        unique, inverse = np.unique(packed, return_inverse=True)
-        table = np.fromiter(
-            (primary(int(k) // base, int(k) % base) for k in unique),
-            dtype=np.float64,
-            count=len(unique),
-        )
-        scores = table[inverse]
-        in_running = scores == np.minimum.reduceat(scores, starts)[seg]
-    if in_running is None:
-        best_u = np.minimum.reduceat(unevenness, starts)[seg]
-        in_running = unevenness == best_u
-    else:
-        masked_u = np.where(in_running, unevenness, np.iinfo(np.int64).max)
-        in_running &= masked_u == np.minimum.reduceat(masked_u, starts)[seg]
-    masked_e = np.where(in_running, eids, np.iinfo(np.int64).max)
-    return [int(e) for e in np.minimum.reduceat(masked_e, starts)]
+    unevenness = np.abs(2 * counts - np.asarray(ns, dtype=np.int64)[seg])
+    # Narrow each group to its most even entities, then take the least id.
+    best = np.minimum.reduceat(unevenness, starts)[seg]
+    masked = np.where(unevenness == best, eids, np.iinfo(np.int64).max)
+    return np.minimum.reduceat(masked, starts).tolist()
 
 
 def sort_most_even(
@@ -160,9 +131,11 @@ def sort_most_even(
 ) -> list[tuple[int, int]]:
     """``(eid, n1)`` pairs sorted by ``(|2*n1 - n|, eid)``.
 
-    The most-even-first expansion order of Algorithm 1, which by Lemma 4.3
-    is also non-decreasing 1-step-bound order — the sorted-early-break
-    pruning of k-LP depends on it.
+    The most-even-first expansion order of Algorithm 1.  Under the height
+    metric this is also non-decreasing 1-step-bound order (``LB1[H]`` is
+    weakly increasing in ``|2*n1 - n|``), which the sorted early break of
+    k-LP relies on.  Under average depth it is not, from ``n = 35`` on:
+    ``AD.lb1(16, 19) < AD.lb1(17, 18)``.
     """
     if _is_array(eids):
         counts = counts.astype(np.int64, copy=False)

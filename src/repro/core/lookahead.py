@@ -15,9 +15,12 @@ cheap low-step bound already reaches the best k-step bound found so far
 (AFLV) cannot beat it, because bounds are monotone non-decreasing in the
 number of lookahead steps (Lemmas 4.1-4.2).  Concretely:
 
-1. entities are expanded in most-even-first order, which is also
-   non-decreasing 1-step-bound order, so the first entity whose 1-step bound
-   reaches the AFLV prunes *all* remaining entities (Algorithm 1, l. 14-15);
+1. entities are expanded in most-even-first order and the first entity
+   whose 1-step bound reaches the AFLV prunes *all* remaining entities
+   (Algorithm 1, l. 14-15).  That break is exact under H, whose 1-step
+   bound is non-decreasing in most-even order.  Under AD it is not, from
+   35 sets on (Eq. 1's ceiling gives ``AD.lb1(16, 19) < AD.lb1(17, 18)``),
+   so the break can prune an entity whose bound is still under the AFLV;
 2. recursive calls receive derived upper limits (Eqs. 11-14); a recursion
    that cannot produce a bound under its limit aborts the current entity
    (l. 24-25, 31-32);
@@ -196,10 +199,14 @@ class KLPSelector(EntitySelector):
         mask: int | None = None,
         k: int | None = None,
     ) -> float:
-        """``LB_k(C)`` (Eq. 8): best k-step bound over all entities.
+        """``LB_k(C)``: the best k-step bound Algorithm 1 finds.
 
         Beam limits (``q``) do *not* apply here — the bound quantifies the
-        collection, not the beam — so this is the true Eq. 8 value.
+        collection, not the beam.  Under H this is the true Eq. 8 value.
+        Under AD it can exceed Eq. 8, because the most-even order and its
+        sorted break are not bound order there: at ``k = 1`` it is the
+        bound of the most even entity, 5.1714 for a 17/18 split of 35
+        sets where a 16/19 split bounds at 5.1429.
         """
         if mask is None:
             mask = collection.full_mask
@@ -261,8 +268,9 @@ class KLPSelector(EntitySelector):
             eids, counts = filter_excluded(eids, counts, exclude)
         if len(eids) == 0:
             return None, metric.lb0(n)
-        # Most-even-first order; by Lemma 4.3 this is also non-decreasing
-        # 1-step-bound order, which lines 14-15 of Algorithm 1 rely on.
+        # Most-even-first order.  Lines 14-15 of Algorithm 1 take it for
+        # non-decreasing 1-step-bound order: true under H, not under AD
+        # from 35 sets on (see the module docstring).
         pairs = sort_most_even(eids, counts, n)
         if k == 1:
             eid, cnt = pairs[0]

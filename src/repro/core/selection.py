@@ -13,8 +13,15 @@ paper's baselines:
   (Sec. 4.2.4), with the paper's tie-break (most even split, then a
   deterministic entity-id tie-break standing in for the paper's random pick).
 
-Lemma 4.3 proves all four select an entity that splits the sub-collection
-most evenly; the test suite verifies that equivalence property-based.
+By Lemma 4.3, MostEven, InfoGain, Indg and ``LB1`` under the height metric
+all select an entity that splits the sub-collection most evenly, so they
+share one exact integer ranking key, ``(|2*n1 - n|, eid)``
+(:mod:`repro.core.kernels.scoring` states why the key is exact, and
+``tests/test_scoring_keys.py`` checks it against the float scores).  The
+lemma does *not* hold for ``LB1`` under average depth: Eq. 1's ceiling
+makes ``LB1[AD]`` non-monotone in evenness from 35 sets on (a 16/19 split
+bounds at 5.1429, a 17/18 split at 5.1714), so :class:`LB1Selector` with
+:data:`~repro.core.bounds.AD` ranks by its float bound first.
 
 All selectors share the :class:`EntitySelector` interface used by tree
 construction (Algorithm 3) and interactive discovery (Algorithm 2):
@@ -30,7 +37,7 @@ from abc import ABC, abstractmethod
 from typing import Collection as AbcCollection
 from typing import Iterable
 
-from .bounds import AD, CostMetric
+from .bounds import AD, H, CostMetric
 from .collection import SetCollection
 from .kernels import filter_excluded, select_best
 
@@ -94,28 +101,12 @@ class EntitySelector(ABC):
     def reset(self) -> None:
         """Drop any per-run caches; default selectors are stateless."""
 
-    def batch_primary(self) -> "Callable[[int, int], float] | None":
-        """Primary score for the batched multi-session scoring path.
-
-        One-step selectors whose choice is exactly
-        ``select_best(eids, counts, n, primary)`` return their primary
-        callable here (``None`` meaning "rank purely by the most-even
-        tie-break").  The multi-session engine then scores many sessions'
-        selections in one pass, with bit-identical results.  Selectors
-        whose choice cannot be expressed this way (lookahead, random)
-        raise ``NotImplementedError`` — the engine falls back to their
-        ordinary :meth:`select`.
-        """
-        raise NotImplementedError
-
-    def batch_key(self) -> tuple:
-        """Hashable identity of :meth:`batch_primary`'s scoring function.
-
-        Two selector *instances* with equal keys produce identical batched
-        selections, so the engine deduplicates scoring work across
-        sessions by ``(mask, batch_key, excluded)``.
-        """
-        raise NotImplementedError
+    #: True when :meth:`select` is exactly the most-even choice: the
+    #: informative entity minimising ``(|2*n1 - n|, eid)``.  The serving
+    #: scheduler then ranks every such session of a flush in one batched
+    #: pass (:func:`~repro.core.kernels.scoring.select_best_many`);
+    #: selectors without it fall back to their own :meth:`select`.
+    most_even: bool = False
 
     def _informative(
         self,
@@ -164,12 +155,7 @@ class MostEvenSelector(EntitySelector):
     """Greedy most-even-partition choice (Adler & Heeringa, Sec. 4.2.1)."""
 
     name = "MostEven"
-
-    def batch_primary(self) -> None:
-        return None
-
-    def batch_key(self) -> tuple:
-        return ("most-even",)
+    most_even = True
 
     def select(
         self,
@@ -184,69 +170,38 @@ class MostEvenSelector(EntitySelector):
         return select_best(eids, counts, collection.count(mask))
 
 
-class InfoGainSelector(EntitySelector):
+class InfoGainSelector(MostEvenSelector):
     """Information-gain choice (Eq. 9; ID3 [29] / C4.5 [28]).
 
-    Maximises gain; ties broken by the most even partition then by entity
-    id, mirroring the paper's evaluation baseline ("InfoGain").
+    Maximises gain, ties broken by the most even partition then by entity
+    id, mirroring the paper's evaluation baseline ("InfoGain").  Gain is
+    strictly decreasing in the split's unevenness (Lemma 4.3), so this is
+    exactly the most-even choice; :func:`information_gain` stays the Eq. 9
+    reference the key is tested against.
     """
 
     name = "InfoGain"
 
-    def batch_primary(self):
-        return lambda n, n1: -information_gain(n, n1)
 
-    def batch_key(self) -> tuple:
-        return ("infogain",)
+class IndistinguishablePairsSelector(MostEvenSelector):
+    """Minimise indistinguishable pairs (Eq. 10; Roy et al. [7]).
 
-    def select(
-        self,
-        collection: SetCollection,
-        mask: int,
-        candidates: Iterable[int] | None = None,
-        exclude: AbcCollection[int] = frozenset(),
-    ) -> int:
-        eids, counts = self._informative_stats(
-            collection, mask, candidates, exclude
-        )
-        n = collection.count(mask)
-        return select_best(
-            eids, counts, n, lambda n, n1: -information_gain(n, n1)
-        )
-
-
-class IndistinguishablePairsSelector(EntitySelector):
-    """Minimise indistinguishable pairs (Eq. 10; Roy et al. [7])."""
+    Eq. 10 equals ``(n**2 + d**2)/4 - n/2`` for unevenness ``d``, so the
+    minimum is exactly the most-even choice.
+    """
 
     name = "Indg"
-
-    def batch_primary(self):
-        return lambda n, n1: float(indistinguishable_pairs(n1, n - n1))
-
-    def batch_key(self) -> tuple:
-        return ("indg",)
-
-    def select(
-        self,
-        collection: SetCollection,
-        mask: int,
-        candidates: Iterable[int] | None = None,
-        exclude: AbcCollection[int] = frozenset(),
-    ) -> int:
-        eids, counts = self._informative_stats(
-            collection, mask, candidates, exclude
-        )
-        n = collection.count(mask)
-        return select_best(
-            eids, counts, n, lambda n, n1: float(indistinguishable_pairs(n1, n - n1))
-        )
 
 
 class LB1Selector(EntitySelector):
     """1-step cost-lower-bound choice (Sec. 4.2.4), metric-aware.
 
     Minimises ``LB1(C, e)`` for the configured metric, breaking ties by the
-    most even partition (the paper's rule) and then entity id.
+    most even partition (the paper's rule) and then entity id.  Under
+    :data:`~repro.core.bounds.H` the bound is weakly increasing in the
+    split's unevenness, so the choice is exactly the most-even one; under
+    :data:`~repro.core.bounds.AD` it is not (see the module docstring) and
+    the float bound ranks first.
     """
 
     name = "LB1"
@@ -255,15 +210,11 @@ class LB1Selector(EntitySelector):
         self.metric = metric
         self.name = f"LB1[{metric.name}]"
 
-    def batch_primary(self):
-        metric = self.metric
-        return lambda n, n1: metric.lb1(n1, n - n1)
-
-    def batch_key(self) -> tuple:
-        # Key on the metric object, not its display name: distinct metrics
-        # sharing a name must not be conflated by the engine's scoring
-        # dedup (AD/H are module singletons, so dedup still applies).
-        return ("lb1", self.metric)
+    @property
+    def most_even(self) -> bool:
+        # Identity, not name: only the H singleton is known to be
+        # monotone; a metric merely *called* "H" may not be.
+        return self.metric is H
 
     def select(
         self,
@@ -276,6 +227,8 @@ class LB1Selector(EntitySelector):
             collection, mask, candidates, exclude
         )
         n = collection.count(mask)
+        if self.most_even:
+            return select_best(eids, counts, n)
         metric = self.metric
         return select_best(
             eids, counts, n, lambda n, n1: metric.lb1(n1, n - n1)

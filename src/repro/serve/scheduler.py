@@ -6,11 +6,14 @@ one stacked kernel pass per :meth:`ScanScheduler.flush`:
 
 1. distinct candidate masks are scanned once, lineage-restricted, through
    :meth:`~repro.core.collection.SetCollection.informative_stats_many`;
-2. sessions the scan revealed to be finished are retired;
-3. the rest are deduplicated by ``(mask, scoring rule, exclusions)`` and
-   scored with one vectorized :func:`~repro.core.kernels.scoring.select_best_many`
-   pass per scoring rule; selectors without a batched form fall back to
-   their own ``select`` over the just-primed cache.
+2. sessions whose selector is the most-even choice (MostEven, InfoGain,
+   Indg, ``LB1[H]``; Lemma 4.3) are grouped by ``(mask, exclusions)``;
+   the other sessions the scan revealed to be finished are retired;
+3. every group is ranked by the exact integer key ``(|2*n1 - n|, eid)``
+   in one :func:`~repro.core.kernels.scoring.select_best_many` pass (a
+   group left with nothing to ask after its exclusions is retired
+   instead); every other selector (k-LP, ``LB1[AD]``, random) falls back
+   to its own ``select`` over the just-primed cache.
 
 *When* to flush is policy the front-end chooses:
 
@@ -128,7 +131,7 @@ class EngineStats:
     selections: int = 0
     #: selections answered by the batched scoring path
     batched_selections: int = 0
-    #: distinct (mask, scoring rule, exclusions) groups actually scored —
+    #: distinct (mask, exclusions) groups actually scored —
     #: the gap to ``batched_selections`` is deduplicated scoring work
     scoring_groups: int = 0
     #: selections that fell back to the selector's own ``select``
@@ -358,45 +361,37 @@ class ScanScheduler:
             self.stats.scanned_masks += len(mask_order) - hits
         self.stats.scan_cache_hits += hits
 
-        # -- 2. retire finished sessions, group the rest for scoring ---- #
+        # -- 2. group for scoring, retire finished fallback sessions ---- #
         plan = group_for_scoring(need, stats_by_mask)
         for state in plan.finished:
             report.finished[state.key] = registry.finish(state)
 
-        # -- 3. batched scoring, one lexsort per scoring rule ------------ #
+        # -- 3. one batched most-even ranking for every group ------------ #
         batch_served: list[SessionState] = []
-        by_rule: dict[tuple, list[tuple]] = {}
-        for gkey in plan.groups:
-            by_rule.setdefault(gkey[1], []).append(gkey)
-        for rule_keys in by_rule.values():
-            ready: list[tuple] = []
-            eids_list, counts_list, ns = [], [], []
-            for gkey in rule_keys:
-                mask, _, excl = gkey
-                eids, counts = stats_by_mask[mask]
-                if excl:
-                    eids, counts = filter_excluded(eids, counts, excl)
-                if len(eids) == 0:  # pragma: no cover - finished() caught it
-                    for state in plan.groups[gkey]:
-                        report.finished[state.key] = registry.finish(state)
-                    continue
-                ready.append(gkey)
-                eids_list.append(eids)
-                counts_list.append(counts)
-                ns.append(collection.count(mask))
-            if not ready:
+        ready: list[list[SessionState]] = []
+        eids_list, counts_list, ns = [], [], []
+        for (mask, excl), states in plan.groups.items():
+            eids, counts = stats_by_mask[mask]
+            if excl:
+                eids, counts = filter_excluded(eids, counts, excl)
+            if len(eids) == 0:  # nothing askable: the sessions are done
+                for state in states:
+                    report.finished[state.key] = registry.finish(state)
                 continue
-            chosen = select_best_many(
-                eids_list, counts_list, ns, plan.primaries[ready[0]]
-            )
+            ready.append(states)
+            eids_list.append(eids)
+            counts_list.append(counts)
+            ns.append(collection.count(mask))
+        if ready:
+            chosen = select_best_many(eids_list, counts_list, ns)
             self.stats.scoring_groups += len(ready)
-            for gkey, entity in zip(ready, chosen):
-                for state in plan.groups[gkey]:
+            for states, entity in zip(ready, chosen):
+                for state in states:
                     state.session.push_question(entity)
                     report.questions[state.key] = entity
                     batch_served.append(state)
-                    self.stats.selections += 1
-                    self.stats.batched_selections += 1
+            self.stats.selections += len(batch_served)
+            self.stats.batched_selections += len(batch_served)
         # Attribute the batched scan+scoring cost evenly to the sessions it
         # served, so DiscoveryResult.seconds stays comparable to sequential
         # runs (fallback sessions below self-time their select instead).

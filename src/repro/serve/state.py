@@ -104,15 +104,16 @@ def plan_stacked_scan(
 class ScoringPlan:
     """Post-scan partition of sessions: how each one's question is chosen.
 
-    ``groups`` deduplicates by ``(mask, scoring rule, exclusions)`` — all
-    sessions of a group share one selection; ``primaries`` maps each group
-    to its scoring function; ``singles`` are sessions whose selector has
-    no batched form (they fall back to their own ``select`` over the
-    primed cache); ``finished`` are sessions the scan revealed to be done.
+    ``groups`` holds the sessions whose selector is the most-even choice
+    (:attr:`~repro.core.selection.EntitySelector.most_even`), deduplicated
+    by ``(mask, exclusions)``: all sessions of a group share one selection,
+    or all are finished when no entity of the mask survives the exclusions.
+    ``singles`` are the other sessions (they fall back to their own
+    ``select`` over the primed cache); ``finished`` are singles the scan
+    revealed to be done.
     """
 
     groups: dict[tuple, list[SessionState]] = field(default_factory=dict)
-    primaries: dict[tuple, object] = field(default_factory=dict)
     singles: list[SessionState] = field(default_factory=list)
     finished: list[SessionState] = field(default_factory=list)
 
@@ -124,26 +125,22 @@ def group_for_scoring(
     """Partition scanned sessions for batched scoring.
 
     Also advances each state's lineage to the entities of the mask just
-    scanned (the restriction for its *next* scan).  The ``finished`` check
-    is a cache hit — the scan was just primed — and catches e.g. sessions
-    whose informative entities are all excluded.
+    scanned (the restriction for its *next* scan).  A group's scorer sees
+    its stats after the exclusions anyway, so only singles pay for the
+    ``finished`` check (a cache hit: the scan was just primed), which
+    catches e.g. sessions whose informative entities are all excluded.
     """
     plan = ScoringPlan()
     for state in states:
         s = state.session
         mask = s.candidates_mask
         state.lineage = stats_by_mask[mask][0]
-        if s.finished:
+        if s.selector.most_even:
+            plan.groups.setdefault((mask, s.excluded), []).append(state)
+        elif s.finished:
             plan.finished.append(state)
-            continue
-        try:
-            primary = s.selector.batch_primary()
-            gkey = (mask, s.selector.batch_key(), s.excluded)
-        except NotImplementedError:
+        else:
             plan.singles.append(state)
-            continue
-        plan.primaries.setdefault(gkey, primary)
-        plan.groups.setdefault(gkey, []).append(state)
     return plan
 
 

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.core.bounds import AD
+from repro.core.bounds import AD, H
 from repro.core.collection import SetCollection
 from repro.core.discovery import DiscoverySession
 from repro.core.kernels import HAS_NATIVE, HAS_NUMPY
@@ -44,8 +44,9 @@ SELECTOR_FACTORIES = [
     MostEvenSelector,
     InfoGainSelector,
     IndistinguishablePairsSelector,
-    lambda: LB1Selector(AD),
+    lambda: LB1Selector(AD),  # not most-even: engine falls back to select()
     lambda: KLPSelector(k=2),  # non-batchable: engine falls back to select()
+    lambda: LB1Selector(H),
 ]
 
 
@@ -502,13 +503,18 @@ class TestServingHygiene:
 
 class TestScoringDedupSafety:
     def test_lb1_metrics_sharing_a_name_are_not_conflated(self):
-        # Two distinct metrics with equal display names must not share a
-        # scoring group — batch_key carries the metric object itself.
+        # Batch scoring is decided by metric identity, not display name:
+        # only the H singleton is known to be monotone in split evenness,
+        # so a metric merely named "H" keeps its own select().
         from repro.core.bounds import AD, H
+
+        class RenamedAD(type(AD)):
+            name = "H"
 
         class RenamedH(type(H)):
             name = "AD"
 
-        a, b = LB1Selector(AD), LB1Selector(RenamedH())
-        assert a.batch_key() != b.batch_key()
-        assert LB1Selector(AD).batch_key() == LB1Selector(AD).batch_key()
+        assert LB1Selector(H).most_even
+        assert not LB1Selector(AD).most_even
+        assert not LB1Selector(RenamedAD()).most_even
+        assert not LB1Selector(RenamedH()).most_even

@@ -318,33 +318,32 @@ class TestSelectBestManyParity:
         import numpy as np
 
         from repro.core.kernels import select_best, select_best_many
-        from repro.core.selection import information_gain
 
         rng = random.Random(41)
-        for primary in (
-            None,
-            lambda n, n1: -information_gain(n, n1),
-        ):
-            eids_list, counts_list, ns = [], [], []
-            for _ in range(30):
-                n = rng.randint(2, 50)
-                size = rng.randint(1, 12)
-                eids = np.array(
-                    sorted(rng.sample(range(200), size)), dtype=np.int64
-                )
-                counts = np.array(
-                    [rng.randint(1, n - 1) for _ in range(size)],
-                    dtype=np.int64,
-                )
-                eids_list.append(eids)
-                counts_list.append(counts)
-                ns.append(n)
-            batched = select_best_many(eids_list, counts_list, ns, primary)
-            expected = [
-                select_best(e, c, n, primary)
-                for e, c, n in zip(eids_list, counts_list, ns)
-            ]
-            assert batched == expected
+        eids_list, counts_list, ns = [], [], []
+        for _ in range(30):
+            n = rng.randint(2, 50)
+            size = rng.randint(1, 12)
+            eids = np.array(
+                rng.sample(range(200), size), dtype=np.int64
+            )
+            counts = np.array(
+                [rng.randint(1, n - 1) for _ in range(size)],
+                dtype=np.int64,
+            )
+            eids_list.append(eids)
+            counts_list.append(counts)
+            ns.append(n)
+        batched = select_best_many(eids_list, counts_list, ns)
+        expected = [
+            select_best(e.tolist(), c.tolist(), n)
+            for e, c, n in zip(eids_list, counts_list, ns)
+        ]
+        assert batched == expected
+        assert batched == [
+            select_best(e, c, n)
+            for e, c, n in zip(eids_list, counts_list, ns)
+        ]
 
     def test_list_inputs_fall_back_to_loop(self):
         from repro.core.kernels import select_best, select_best_many

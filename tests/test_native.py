@@ -211,6 +211,110 @@ class TestPrimitiveValidation:
         )
         assert out.tolist() == [0, 0, want]
 
+    # -- counts_by_members: the set-major gather over the CSR mirror ---- #
+    # Three sets over four rows: {0, 1}, {1, 2}, {3}.
+
+    def _csr(self):
+        np = self.np
+        return (
+            np.array([0b111], dtype=np.uint64),
+            np.array([0, 2, 4, 5], dtype=np.int64),
+            np.array([0, 1, 1, 2, 3], dtype=np.int64),
+            np.empty(4, dtype=np.int64),
+        )
+
+    def test_gather_counts(self):
+        mask, indptr, flat, out = self._csr()
+        out.fill(-7)  # the pass must overwrite every row
+        self.ext.counts_by_members(mask, indptr, flat, out)
+        assert out.tolist() == [1, 2, 1, 1]
+        self.ext.counts_by_members(
+            self.np.array([0b010 | 1 << 40], dtype=self.np.uint64),
+            indptr, flat, out,
+        )  # bits at or above n_sets select nothing
+        assert out.tolist() == [0, 1, 1, 0]
+
+    def test_gather_mask_length_mismatch(self):
+        mask, indptr, flat, out = self._csr()
+        with pytest.raises(ValueError, match="mask_words"):
+            self.ext.counts_by_members(
+                self.np.zeros(2, dtype=self.np.uint64), indptr, flat, out
+            )
+
+    def test_gather_empty_indptr(self):
+        mask, _indptr, flat, out = self._csr()
+        with pytest.raises(ValueError, match="indptr"):
+            self.ext.counts_by_members(
+                mask, self.np.empty(0, dtype=self.np.int64), flat, out
+            )
+
+    @pytest.mark.parametrize("arg", [0, 1, 2, 3])
+    def test_gather_length_not_multiple_of_8(self, arg):
+        args = list(self._csr())
+        args[arg] = bytearray(bytes(args[arg])[:-1])
+        with pytest.raises(ValueError, match="multiple of 8"):
+            self.ext.counts_by_members(*args)
+
+    def test_gather_decreasing_indptr(self):
+        mask, _indptr, flat, out = self._csr()
+        indptr = self.np.array([0, 2, 1, 5], dtype=self.np.int64)
+        with pytest.raises(ValueError, match="indptr"):
+            self.ext.counts_by_members(mask, indptr, flat, out)
+
+    @pytest.mark.parametrize(
+        "indptr", [[0, 2, 4, 6], [-1, 2, 4, 5], [0, 2, 4, 1 << 62]]
+    )
+    def test_gather_indptr_outside_flat_rows(self, indptr):
+        mask, _indptr, flat, out = self._csr()
+        indptr = self.np.array(indptr, dtype=self.np.int64)
+        with pytest.raises(ValueError, match="indptr"):
+            self.ext.counts_by_members(mask, indptr, flat, out)
+
+    @pytest.mark.parametrize("row", [-1, 4, 1 << 40, -(1 << 62)])
+    def test_gather_row_out_of_range(self, row):
+        mask, indptr, flat, out = self._csr()
+        flat[3] = row
+        with pytest.raises(ValueError, match="flat_rows"):
+            self.ext.counts_by_members(mask, indptr, flat, out)
+
+    def test_gather_readonly_out_rejected(self):
+        mask, indptr, flat, out = self._csr()
+        out.flags.writeable = False
+        with pytest.raises((BufferError, TypeError, ValueError)):
+            self.ext.counts_by_members(mask, indptr, flat, out)
+        with pytest.raises((BufferError, TypeError, ValueError)):
+            self.ext.counts_by_members(mask, indptr, flat, bytes(32))
+
+    def test_gather_threads_share_no_scratch(self):
+        # GIL released, no shared state: concurrent calls on one mirror
+        # each see exactly their own mask's counts.
+        from concurrent.futures import ThreadPoolExecutor
+
+        np = self.np
+        rng = np.random.default_rng(5)
+        n_sets, n_rows = 300, 64
+        sizes = rng.integers(0, 20, size=n_sets)
+        indptr = np.zeros(n_sets + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        flat = rng.integers(0, n_rows, size=int(indptr[-1]), dtype=np.int64)
+        masks = rng.integers(0, 2**63, size=(16, 5), dtype=np.uint64)
+
+        def gather(words):
+            out = np.empty(n_rows, dtype=np.int64)
+            self.ext.counts_by_members(words, indptr, flat, out)
+            return out
+
+        def reference(words):
+            bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+            sets = np.flatnonzero(bits[:n_sets])
+            rows = [flat[indptr[s]:indptr[s + 1]] for s in sets]
+            return np.bincount(np.concatenate(rows), minlength=n_rows)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(gather, list(masks) * 8))
+        for words, counts in zip(list(masks) * 8, got):
+            assert np.array_equal(counts, reference(words))
+
 
 @needs_native
 class TestSimdDispatch:

@@ -14,12 +14,17 @@ Every assertion message carries the generator seed; replay a failure with::
 
 The CSR and row-pass variants are forced by overriding the numpy kernel's
 tuning (routing never changes results — that is exactly the property under
-test), the sharded variants run every base on the shard thread pool.
+test), the sharded variants run every base on the shard thread pool.  On
+the native backend the forced variants also count the C entry points they
+reach, so a routing change cannot silently take the C gather (or the C
+row sweep) out of the fuzz.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -35,16 +40,65 @@ from repro.core.kernels import (
     KernelTuning,
     select_best_many,
 )
-from repro.core.selection import InfoGainSelector, information_gain
+from repro.core.selection import InfoGainSelector
 
 from conftest import build_with_tuning
 
 N_SEEDS = 200
 
-#: Forces the set-major CSR gather on every mask.
-FORCE_CSR = KernelTuning(member_cost=0.0)
+#: Forces the set-major CSR gather on every mask: a negative membership
+#: cost puts the gather's estimate below any row pass's, on numpy and
+#: native alike (at 0.0, native's cheaper row unit still wins small masks).
+FORCE_CSR = KernelTuning(member_cost=-1e18)
 #: Forces the bit-matrix row pass on every mask.
 FORCE_ROWS = KernelTuning(member_cost=1e18)
+
+#: The native row sweeps a forced-CSR scan must never reach.
+_NATIVE_ROW_SCANS = ("scan_informative", "scan_informative_many")
+
+
+@contextlib.contextmanager
+def _native_calls(label: str):
+    """Count the native extension's entry-point calls while active.
+
+    Yields a ``Counter`` of calls by function name; outside the forced
+    native variants nothing is patched and the counter stays empty.
+    """
+    calls: Counter = Counter()
+    if label not in ("native-csr", "native-rows"):
+        yield calls
+        return
+    from repro.core.kernels import native_backend
+
+    ext = native_backend._ext
+
+    class Counting:
+        def __getattr__(self, name):
+            fn = getattr(ext, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+    native_backend._ext = Counting()
+    try:
+        yield calls
+    finally:
+        native_backend._ext = ext
+
+
+def _assert_routed(label: str, calls: Counter, row_scans, ctx: str) -> None:
+    """Forced native variants really took the path they force."""
+    if label == "native-csr":
+        assert calls["counts_by_members"] > 0, f"{ctx} C gather never ran"
+        for name in row_scans:
+            assert calls[name] == 0, f"{ctx} {name} ran under forced CSR"
+    elif label == "native-rows":
+        assert calls["counts_by_members"] == 0, (
+            f"{ctx} C gather ran under forced rows"
+        )
 
 
 #: fuzz variants: (label, collection factory kwargs, tuning override);
@@ -60,11 +114,12 @@ def _variants():
         ]
     if HAS_NATIVE:
         # The full equality chain bigint == numpy == native == sharded-native:
-        # default routing, the forced C row sweep (the fused kernel must
-        # agree even where routing would have picked the CSR gather), and
+        # default routing, the forced C gather and the forced C row sweep
+        # (each must agree even where routing would pick the other), and
         # native sub-kernels under the sharded merge.
         variants += [
             ("native", dict(backend="native"), None),
+            ("native-csr", dict(backend="native"), FORCE_CSR),
             ("native-rows", dict(backend="native"), FORCE_ROWS),
             ("native-sharded", dict(backend="native", shards=4), None),
         ]
@@ -147,38 +202,40 @@ def test_cross_backend_parity(seed):
     ref_stacked = ref.informative_stats_many(masks)
 
     for label, kwargs, tuning in _variants():
-        coll = build_with_tuning(raw, tuning, **kwargs)
-        ctx = f"[parity-fuzz seed={seed} backend={label}]"
-        assert (coll.n_sets, coll.n_entities) == (ref.n_sets, ref.n_entities)
-        for m, stats, counts, parts in zip(
-            masks, ref_stats, ref_counts, ref_parts
-        ):
-            got = coll.informative_stats(m)
-            assert _as_list(got[0]) == _as_list(stats[0]), (
-                f"{ctx} scan_informative eids diverged on mask {m:#x}"
+        with _native_calls(label) as calls:
+            coll = build_with_tuning(raw, tuning, **kwargs)
+            ctx = f"[parity-fuzz seed={seed} backend={label}]"
+            assert (coll.n_sets, coll.n_entities) == (ref.n_sets, ref.n_entities)
+            for m, stats, counts, parts in zip(
+                masks, ref_stats, ref_counts, ref_parts
+            ):
+                got = coll.informative_stats(m)
+                assert _as_list(got[0]) == _as_list(stats[0]), (
+                    f"{ctx} scan_informative eids diverged on mask {m:#x}"
+                )
+                assert _as_list(got[1]) == _as_list(stats[1]), (
+                    f"{ctx} scan_informative counts diverged on mask {m:#x}"
+                )
+                assert coll.positive_counts(m, probe_eids) == counts, (
+                    f"{ctx} positive_counts diverged on mask {m:#x}"
+                )
+                assert coll.partition_many(m, probe_eids) == parts, (
+                    f"{ctx} partition_many diverged on mask {m:#x}"
+                )
+            coll.clear_caches()
+            for got, want in zip(coll.informative_stats_many(masks), ref_stacked):
+                assert _as_list(got[0]) == _as_list(want[0]), (
+                    f"{ctx} scan_informative_many eids diverged"
+                )
+                assert _as_list(got[1]) == _as_list(want[1]), (
+                    f"{ctx} scan_informative_many counts diverged"
+                )
+            assert coll.positive_counts_many(
+                masks, probe_eids
+            ) == ref.positive_counts_many(masks, probe_eids), (
+                f"{ctx} positive_counts_many diverged"
             )
-            assert _as_list(got[1]) == _as_list(stats[1]), (
-                f"{ctx} scan_informative counts diverged on mask {m:#x}"
-            )
-            assert coll.positive_counts(m, probe_eids) == counts, (
-                f"{ctx} positive_counts diverged on mask {m:#x}"
-            )
-            assert coll.partition_many(m, probe_eids) == parts, (
-                f"{ctx} partition_many diverged on mask {m:#x}"
-            )
-        coll.clear_caches()
-        for got, want in zip(coll.informative_stats_many(masks), ref_stacked):
-            assert _as_list(got[0]) == _as_list(want[0]), (
-                f"{ctx} scan_informative_many eids diverged"
-            )
-            assert _as_list(got[1]) == _as_list(want[1]), (
-                f"{ctx} scan_informative_many counts diverged"
-            )
-        assert coll.positive_counts_many(
-            masks, probe_eids
-        ) == ref.positive_counts_many(masks, probe_eids), (
-            f"{ctx} positive_counts_many diverged"
-        )
+        _assert_routed(label, calls, _NATIVE_ROW_SCANS, ctx)
 
 
 @pytest.mark.parametrize("seed", range(0, N_SEEDS, 10))
@@ -203,14 +260,13 @@ def test_candidate_hints_and_selection_parity(seed):
         for stats, m in zip(ref_hinted, children)
         if len(stats[0])
     ]
-    for primary in (None, lambda n, n1: -information_gain(n, n1)):
-        ref_chosen = select_best_many(
-            [g[0][0] for g in groups],
-            [g[0][1] for g in groups],
-            [g[1] for g in groups],
-            primary,
-        )
-        for label, kwargs, tuning in _variants():
+    ref_chosen = select_best_many(
+        [g[0][0] for g in groups],
+        [g[0][1] for g in groups],
+        [g[1] for g in groups],
+    )
+    for label, kwargs, tuning in _variants():
+        with _native_calls(label) as calls:
             coll = build_with_tuning(raw, tuning, **kwargs)
             ctx = f"[parity-fuzz seed={seed} backend={label}]"
             got = coll.informative_stats_many(children, hints)
@@ -230,11 +286,12 @@ def test_candidate_hints_and_selection_parity(seed):
                 [g[0][0] for g in vec_groups],
                 [g[0][1] for g in vec_groups],
                 [g[1] for g in vec_groups],
-                primary,
             )
-            assert chosen == ref_chosen, (
-                f"{ctx} select_best_many diverged (primary={primary})"
-            )
+        assert chosen == ref_chosen, f"{ctx} select_best_many diverged"
+        # Hinted scans reach the row pass through the per-row popcounts.
+        _assert_routed(
+            label, calls, _NATIVE_ROW_SCANS + ("popcount_rows",), ctx
+        )
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
@@ -321,10 +378,10 @@ DELTA_STEPS = 4
 def _delta_variants():
     """Backend variants every delta chain replays over (all four families).
 
-    ``(label, collection kwargs, tuning override)``.  ``numpy-csr`` forces
-    the set-major route; the override rides along every ``from_delta``, so
-    each evolved epoch builds its own CSR mirror, which the chain test
-    holds against a fresh build's.
+    ``(label, collection kwargs, tuning override)``.  ``numpy-csr`` and
+    ``native-csr`` force the set-major route; the override rides along
+    every ``from_delta``, so each evolved epoch builds its own CSR mirror,
+    which the chain test holds against a fresh build's.
     """
     variants = [
         ("bigint", dict(backend="bigint"), None),
@@ -339,6 +396,7 @@ def _delta_variants():
     if HAS_NATIVE:
         variants += [
             ("native", dict(backend="native"), None),
+            ("native-csr", dict(backend="native"), FORCE_CSR),
             ("native-sharded", dict(backend="native", shards=4), None),
         ]
     return variants
@@ -493,7 +551,7 @@ def test_delta_chain_matches_rebuild(seed):
                 rebuilt._kernel
             ), f"{ctx} set-major mirror diverged from the rebuild"
         _assert_stats_equal(coll, rebuilt, masks, ctx)
-        if label in ("numpy", "numpy-csr", "native"):
+        if label in ("numpy", "numpy-csr", "native", "native-csr"):
             assert (
                 coll._kernel._matrix.tobytes()
                 == rebuilt._kernel._matrix.tobytes()

@@ -8,7 +8,9 @@ proves:
   lower bounds;
 * Lemmas 4.1/4.2: k-step bounds are monotone non-decreasing in k;
 * Lemma 4.3: InfoGain, indistinguishable pairs and 1-step LB select the
-  same (most even) entity;
+  same (most even) entity (for LB1 under AD only below 35 sets, which
+  these collections never reach; ``test_scoring_keys.py`` pins the
+  counterexample);
 * Lemma 4.4: pruning never changes the selected entity or bound (k-LP vs
   the exhaustive reference);
 * Sec. 4.4.1: k-LP at k >= n-1 is optimal;
@@ -124,6 +126,7 @@ def test_lemma_4_3_one_step_strategies_agree(coll):
             InfoGainSelector(),
             IndistinguishablePairsSelector(),
             LB1Selector(AD),
+            LB1Selector(H),
         )
     }
     values = set(chosen.values())

@@ -71,12 +71,18 @@ class TestFig1Selection:
         assert fig1.universe.label(chosen) in {"c", "d"}
 
     def test_lemma_4_3_all_strategies_agree(self, fig1, synthetic_small):
-        """Lemma 4.3: InfoGain, Indg and LB1 select the same entity."""
+        """Lemma 4.3: InfoGain, Indg and LB1 select the same entity.
+
+        LB1[AD] agrees on these collections but not in general: from 35
+        sets on its bound is not monotone in evenness (see
+        ``test_scoring_keys.py``).
+        """
         selectors = [
             MostEvenSelector(),
             InfoGainSelector(),
             IndistinguishablePairsSelector(),
             LB1Selector(AD),
+            LB1Selector(H),
         ]
         for coll in (fig1, synthetic_small):
             masks = [coll.full_mask]
